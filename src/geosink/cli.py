@@ -81,6 +81,14 @@ def _resolve(cfg, schema, command):
     return out
 
 
+def _resolve_m_max(cfg):
+    """Fill a missing m_max from the step schedule, so the summary echoes it."""
+    if cfg["m_max"] is None:
+        from .sinkhorn import m_max_schedule
+
+        cfg["m_max"] = m_max_schedule(cfg["k"], cfg["A"])
+
+
 def _out_dir(path):
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
@@ -195,12 +203,8 @@ def _torus_side(cfg, which, renormalize):
 
 
 def _build_torus_applicator(cfg, renormalize):
-    from .torus import (
-        TorusGrid,
-        TorusKernelSpec,
-        TorusLatticeApplicator,
-        TorusPointsApplicator,
-    )
+    from .sinkhorn import DenseApplicator
+    from .torus import TorusGrid, TorusKernelSpec, TorusLatticeApplicator, torus_log_kernel
 
     backend = cfg["backend"]
     if backend not in ("direct", "fft", "heat"):
@@ -216,7 +220,10 @@ def _build_torus_applicator(cfg, renormalize):
         return TorusLatticeApplicator(grid, spec, p, q, mode=mode), xs, ys
     if backend != "direct":
         raise ConfigError("point clouds run on the direct backend only")
-    return TorusPointsApplicator(xs, ys, spec, p, q), xs, ys
+    app = DenseApplicator.from_log_kernel(
+        spec.k, p, q, lambda: torus_log_kernel(xs, ys, spec)
+    )
+    return app, xs, ys
 
 
 def _run_transport(applicator, cfg, out, coord_header, xs, ys):
@@ -296,10 +303,7 @@ def transport_torus(config_path, backend, out_path, threads, renormalize,
         cfg["A"] = a_override
     if cfg["manifold"] != "torus":
         raise ConfigError(f"config manifold is {cfg['manifold']!r}, expected torus")
-    if cfg["m_max"] is None:
-        import numpy as np
-
-        cfg["m_max"] = max(1, int(np.ceil(cfg["A"] * cfg["k"] * np.log(cfg["k"]))))
+    _resolve_m_max(cfg)
     out = _out_dir(out_path)
 
     def work():
@@ -333,13 +337,10 @@ _SPHERE_SCHEMA = {
 }
 
 
-def _sphere_cloud_applicator(cfg, renormalize):
-    import numpy as np
-
+def _sphere_cloud_applicator(cfg, renormalize, W):
     from .measures import load_point_cloud
     from .sinkhorn import DenseApplicator
-    from .sphere import heat_multipliers, sphere_embed, zonal_profile_min
-    from numpy.polynomial.legendre import legval
+    from .sphere import positive_heat_multipliers, sphere_embed, zonal_log_kernel
 
     sides = []
     for which in ("source", "target"):
@@ -354,20 +355,13 @@ def _sphere_cloud_applicator(cfg, renormalize):
         sides.append(m)
     src, tgt = sides
     k = cfg["k"]
-    W = cfg["W"] if cfg["W"] is not None else int(np.ceil(cfg["R"] * k))
     t = cfg["t"] if cfg["t"] is not None else 2.0 / k
-    mult = heat_multipliers(t, W)
-    if zonal_profile_min(mult) <= 0.0:
-        raise ConfigError(
-            f"truncated heat kernel not positive at t={t}, W={W}; raise t or W"
-        )
-    l = np.arange(W + 1)
-    series = (2.0 * l + 1.0) * mult
+    mult = positive_heat_multipliers(t, W)
     a = sphere_embed(src.coords[:, 0], src.coords[:, 1])
     b = sphere_embed(tgt.coords[:, 0], tgt.coords[:, 1])
-    K = legval(np.clip(a @ b.T, -1.0, 1.0), series)
-    cost = -np.log(K) / k
-    app = DenseApplicator(k, src.weights, tgt.weights, cost)
+    app = DenseApplicator.from_log_kernel(
+        k, src.weights, tgt.weights, lambda: zonal_log_kernel(a, b, mult)
+    )
     return app, src.coords, tgt.coords
 
 
@@ -382,15 +376,15 @@ def _build_sphere_applicator(cfg, renormalize):
         SphericalGrid,
     )
 
+    k = cfg["k"]
+    W = cfg["W"] if cfg["W"] is not None else int(np.ceil(cfg["R"] * k))
     if cfg["source_cloud"] is not None or cfg["target_cloud"] is not None:
         if cfg["backend"] != "direct":
             raise ConfigError("sphere point clouds run on the direct backend only")
-        return _sphere_cloud_applicator(cfg, renormalize)
+        return _sphere_cloud_applicator(cfg, renormalize, W)
 
     if cfg["f"] is None or cfg["g"] is None:
         raise ConfigError("sphere transport needs f and g expressions (or clouds)")
-    k = cfg["k"]
-    W = cfg["W"] if cfg["W"] is not None else int(np.ceil(cfg["R"] * k))
     grid = SphericalGrid(W)
     p = discretize_sphere(cfg["f"], grid).weights
     q = discretize_sphere(cfg["g"], grid).weights
@@ -421,10 +415,7 @@ def transport_sphere(config_path, backend, out_path, threads, renormalize):
         cfg["backend"] = backend
     if cfg["manifold"] != "sphere":
         raise ConfigError(f"config manifold is {cfg['manifold']!r}, expected sphere")
-    if cfg["m_max"] is None:
-        import numpy as np
-
-        cfg["m_max"] = max(1, int(np.ceil(cfg["A"] * cfg["k"] * np.log(cfg["k"]))))
+    _resolve_m_max(cfg)
     out = _out_dir(out_path)
 
     def work():
@@ -475,12 +466,7 @@ def antenna(config_path, out_path, threads):
     """Solve the reflector problem: heights, reflected field, pushforward check."""
     _set_threads(threads)
     cfg = _resolve(_load_config(config_path), _ANTENNA_SCHEMA, "antenna")
-    if cfg["m_max"] is None:
-        import numpy as np
-
-        cfg["m_max"] = max(
-            1, int(np.ceil(cfg["A"] * cfg["k"] * np.log(max(2, cfg["k"]))))
-        )
+    _resolve_m_max(cfg)
     out = _out_dir(out_path)
 
     def work():

@@ -10,8 +10,10 @@ to apply the kernel. The backend contract is structural; any object with
     cost_row(i) -> c(x_i, .)
     describe() -> dict
 
-works: the dense matrix class below, the torus lattice backends, and the
-sphere backends all satisfy it.
+works. DenseApplicator below is the one exact log-domain backend; each
+manifold only builds its log-kernel matrix. The fast routes (torus FFT,
+sphere SHT) derive from LinearDomainApplicator, which redoes an
+application that underflows on a lazily built DenseApplicator.
 
 One step maps u_m to u_{m+1} = u[v_{m+1}] with v_{m+1} = v[u_m]. Because
 the u-update runs last, the source marginal of the induced plan is exact
@@ -37,7 +39,10 @@ __all__ = [
     "Potential",
     "TraceRecord",
     "SinkhornState",
+    "DENSE_POINT_CAP",
     "DenseApplicator",
+    "LinearDomainApplicator",
+    "m_max_schedule",
     "initial_state",
     "softmin_update",
     "sinkhorn_step",
@@ -54,6 +59,9 @@ __all__ = [
 
 STAGNATION_EPS = 1e-15
 STAGNATION_RUNS = 5
+
+# the dense (quadratic) route refuses supports with more points than this
+DENSE_POINT_CAP = 4096
 
 
 class NumericalAbortError(RuntimeError):
@@ -150,68 +158,32 @@ def _check_finite(arr, stage, m):
         )
 
 
-def _traced_advance(u_values, v_next, kern, m_next, t0):
-    """Core of one step given v_{m+1}; returns (u_next, w, record).
-
-    w = v[u_{m+1}] is the following step's v-update, returned so callers
-    can reuse it. The target-marginal error comes from comparing w with
-    v_{m+1}; the source marginal is exact by construction (the u-update
-    is the final softmin of the step), so e_row is recorded as 0.
-    """
-    u_next = kern.softmin_to_source(v_next)
-    _check_finite(u_next, "u-update", m_next)
-    w = kern.softmin_to_target(u_next)
-    _check_finite(w, "trace softmin", m_next)
-    e_col = float(np.abs(kern.q * np.expm1(kern.k * (w - v_next))).sum())
-    I_mu = float(kern.p @ u_next)
-    F = I_mu + float(kern.q @ w)
-    record = TraceRecord(
-        m=m_next,
-        F=F,
-        I_mu=I_mu,
-        e_row=0.0,
-        e_col=e_col,
-        sup_change=float(np.max(np.abs(u_next - u_values))),
-        wall_time_ms=(time.perf_counter() - t0) * 1e3,
-    )
-    return u_next, w, record
+def m_max_schedule(k, A=2.0):
+    """Default step cap max(1, ceil(A k ln max(k, 2)))."""
+    return max(1, int(np.ceil(A * k * np.log(max(k, 2)))))
 
 
 def sinkhorn_step(state, kern):
     """Advance one full step: v_{m+1} = v[u_m], then u_{m+1} = u[v_{m+1}]."""
-    t0 = time.perf_counter()
-    v_next = kern.softmin_to_target(state.u.values)
-    _check_finite(v_next, "v-update", state.m + 1)
-    u_next, _, record = _traced_advance(
-        state.u.values, v_next, kern, state.m + 1, t0
-    )
-    return SinkhornState(
-        k=state.k,
-        m=state.m + 1,
-        u=Potential(u_next, state.k, state.u.base_index),
-        v=Potential(v_next, state.k, state.v.base_index),
-        trace=state.trace + [record],
-        stop_reason=state.stop_reason,
-        cost_warning=state.cost_warning,
-    )
+    return run_until(state, kern, tol=None, m_max=state.m + 1)
 
 
-def run_until(state, kern, tol, A=2.0, m_max=None, trace=True):
+def run_until(state, kern, tol, A=2.0, m_max=None):
     """Iterate until the target-marginal L1 error drops to tol.
 
-    Stops at the first step with error <= tol, at m_max (default the
-    schedule ceil(A k ln k)), or when the sup-change stays below 1e-15
-    for five consecutive steps ("stagnated"). Pass tol=None to run a
-    fixed number of steps regardless of the error. The returned state
-    records the reason under .stop_reason.
+    Stops at the first step with error <= tol, at m_max (default
+    m_max_schedule(k, A)), or when the sup-change stays below 1e-15 for
+    five consecutive steps ("stagnated"). Pass tol=None to run a fixed
+    number of steps regardless of the error. The returned state records
+    the reason under .stop_reason and one TraceRecord per step.
 
     Each step costs two kernel applications plus one shared with the
-    trace bookkeeping: the trailing softmin that measures the marginal
-    error is exactly the next step's v-update, so it is reused.
+    trace bookkeeping: the trailing softmin w = v[u_{m+1}] that measures
+    the target-marginal error is exactly the next step's v-update, so it
+    is reused. e_row is 0, as the u-update makes the source marginal exact.
     """
     if m_max is None:
-        k = float(kern.k)
-        m_max = max(1, int(np.ceil(A * k * np.log(k))))
+        m_max = m_max_schedule(float(kern.k), A)
     if m_max < 1:
         raise ValueError(f"m_max must be >= 1, got {m_max}")
     if state.m >= m_max:
@@ -226,13 +198,25 @@ def run_until(state, kern, tol, A=2.0, m_max=None, trace=True):
     reason = "m_max"
     while m < m_max:
         t0 = time.perf_counter()
+        m += 1
         if v_next is None:
             v_next = kern.softmin_to_target(u)
-            _check_finite(v_next, "v-update", m + 1)
-        u_next, w, record = _traced_advance(u, v_next, kern, m + 1, t0)
-        m += 1
-        if trace:
-            trace_list.append(record)
+            _check_finite(v_next, "v-update", m)
+        u_next = kern.softmin_to_source(v_next)
+        _check_finite(u_next, "u-update", m)
+        w = kern.softmin_to_target(u_next)
+        _check_finite(w, "trace softmin", m)
+        I_mu = float(kern.p @ u_next)
+        record = TraceRecord(
+            m=m,
+            F=I_mu + float(kern.q @ w),
+            I_mu=I_mu,
+            e_row=0.0,
+            e_col=float(np.abs(kern.q * np.expm1(kern.k * (w - v_next))).sum()),
+            sup_change=float(np.max(np.abs(u_next - u))),
+            wall_time_ms=(time.perf_counter() - t0) * 1e3,
+        )
+        trace_list.append(record)
         v_cur = v_next
         u, v_next = u_next, w
         if tol is not None and record.e_col <= tol:
@@ -353,40 +337,75 @@ def normalized_potentials(state):
 
 
 class DenseApplicator:
-    """Exact log-domain backend from an explicit finite cost matrix.
+    """Exact log-domain backend: the one dense softmin of the package.
 
-    The reference backend: O(N^2) per application, log-sum-exp with the
-    max shift built into scipy's reduction. Also the workhorse for tiny
-    hand-checkable instances.
+    Holds the log-kernel matrix log K[i, j] = -k c(x_i, y_j) and reduces
+    it in contiguous row blocks with the max-shifted log-sum-exp, the
+    stabilised form of Peyre & Cuturi (arXiv:1803.00567, sec. 4.4), so an
+    application needs O(block * N) memory beyond the matrix. It costs
+    O(N^2) per application and refuses supports past DENSE_POINT_CAP
+    points before allocating anything. It is the reference the fast
+    routes are certified against and the route they fall back to.
     """
 
     def __init__(self, k, p, q, cost):
         cost = np.asarray(cost, dtype=float)
-        p = np.asarray(p, dtype=float)
-        q = np.asarray(q, dtype=float)
-        if cost.shape != (p.size, q.size):
-            raise ValueError("cost matrix shape must be (len(p), len(q))")
         if not np.all(np.isfinite(cost)):
             raise ValueError("cost matrix must be finite")
+        self._load(k, p, q, lambda: -float(k) * cost, symmetric=False)
+
+    @classmethod
+    def from_log_kernel(cls, k, p, q, log_kernel, symmetric=False):
+        """Applicator over the matrix log_kernel() returns, built only under the cap.
+
+        log_kernel() gives log K[i, j] between source i and target j; -inf
+        marks a vanishing kernel entry. With symmetric=True the kernel
+        lives on one node set and the one matrix serves both directions,
+        row r holding the kernel against every input for output r, which
+        is how a convolution applies it.
+        """
+        app = cls.__new__(cls)
+        app._load(k, p, q, log_kernel, symmetric)
+        return app
+
+    def _load(self, k, p, q, log_kernel, symmetric):
         self.k = float(k)
-        self.p, self.q = p, q
-        self.log_p, self.log_q = np.log(p), np.log(q)
-        self._cost = cost
+        self.p = np.asarray(p, dtype=float)
+        self.q = np.asarray(q, dtype=float)
+        self.log_p, self.log_q = np.log(self.p), np.log(self.q)
+        points = max(self.p.size, self.q.size)
+        if points > DENSE_POINT_CAP:
+            raise ValueError(
+                f"the dense route is quadratic; {points} points exceeds the "
+                f"{DENSE_POINT_CAP} point cap"
+            )
+        log_K = log_kernel()
+        if log_K.shape != (self.p.size, self.q.size):
+            raise ValueError("cost matrix shape must be (len(p), len(q))")
+        self._to_source = log_K
+        self._to_target = log_K if symmetric else np.ascontiguousarray(log_K.T)
 
     @property
     def size(self):
         return self.p.size
 
+    def _softmin(self, rows, values, log_weights):
+        s = -self.k * np.asarray(values, dtype=float) + log_weights
+        n_out, n_in = rows.shape
+        out = np.empty(n_out)
+        block = max(1, min(n_out, (1 << 22) // n_in))
+        for start in range(0, n_out, block):
+            out[start : start + block] = logsumexp(rows[start : start + block] + s, axis=1)
+        return out / self.k
+
     def softmin_to_target(self, u):
-        s = -self.k * (self._cost + np.asarray(u, float)[:, None]) + self.log_p[:, None]
-        return logsumexp(s, axis=0) / self.k
+        return self._softmin(self._to_target, u, self.log_p)
 
     def softmin_to_source(self, v):
-        s = -self.k * (self._cost + np.asarray(v, float)[None, :]) + self.log_q[None, :]
-        return logsumexp(s, axis=1) / self.k
+        return self._softmin(self._to_source, v, self.log_q)
 
     def cost_row(self, i):
-        return self._cost[i]
+        return -self._to_source[i] / self.k
 
     def describe(self):
         return {
@@ -395,3 +414,66 @@ class DenseApplicator:
             "k": self.k,
             "points": int(self.p.size),
         }
+
+
+class LinearDomainApplicator:
+    """Core of the fast routes (torus FFT, sphere SHT).
+
+    Subclasses set mode and supply _linear_apply (the kernel on a
+    positive vector, raising FloatingPointError on a nonpositive output)
+    and _build_dense (the same kernel as a DenseApplicator). An application
+    shifts by the minimum of the potential, so the largest scaled weight is
+    exactly 1, applies the kernel in the linear domain and takes the log
+    back. An underflow redoes it on the dense route, built on first use and
+    counted in .fallbacks; past DENSE_POINT_CAP points, where that route is
+    quadratic, the run aborts instead. mode "direct" always takes it.
+    """
+
+    fallbacks = 0
+    _dense = None
+
+    def __init__(self, k, p, q):
+        self.k = float(k)
+        self.p = np.asarray(p, dtype=float)
+        self.q = np.asarray(q, dtype=float)
+        self.log_p = np.log(self.p)
+        self.log_q = np.log(self.q)
+
+    @property
+    def size(self):
+        return self.p.size
+
+    def _softmin(self, values, log_weights, to_target):
+        values = np.asarray(values, dtype=float)
+        if self.mode != "direct":
+            shift = values.min()
+            w = np.exp(-self.k * (values - shift) + log_weights)
+            try:
+                out = self._linear_apply(w)
+            except FloatingPointError:
+                if self.size > DENSE_POINT_CAP:
+                    raise NumericalAbortError(
+                        f"linear-domain kernel application underflowed double "
+                        f"precision on {self.size} points, and the exact "
+                        f"log-domain fallback is capped at "
+                        f"DENSE_POINT_CAP={DENSE_POINT_CAP} points",
+                        {"stage": "linear-domain apply", "points": self.size,
+                         "dense_point_cap": DENSE_POINT_CAP,
+                         "fallbacks": self.fallbacks},
+                    ) from None
+                self.fallbacks += 1
+            else:
+                return np.log(out) / self.k - shift
+        if self._dense is None:
+            self._dense = self._build_dense()
+        if to_target:
+            return self._dense.softmin_to_target(values)
+        return self._dense.softmin_to_source(values)
+
+    def softmin_to_target(self, u):
+        """v(y_j) = log(sum_i exp(-k(c_ij + u_i)) p_i) / k."""
+        return self._softmin(u, self.log_p, True)
+
+    def softmin_to_source(self, v):
+        """u(x_i) = log(sum_j exp(-k(c_ij + v_j)) q_j) / k."""
+        return self._softmin(v, self.log_q, False)

@@ -25,6 +25,11 @@ Two transform flavours exist on purpose:
 
 Both run in O(W^3) by separating the longitude FFT from a dense Legendre
 contraction per order.
+
+Kernel backends: SphereSHTApplicator applies a zonal kernel through that
+pair in the linear domain. SphereDenseApplicator, its exact reference and
+underflow fallback, only builds the zonal log-kernel matrix for the single
+dense softmin, sinkhorn.DenseApplicator.
 """
 
 from __future__ import annotations
@@ -33,9 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss, legvander, legval
-from scipy.special import logsumexp
 
-from .torus import DENSE_POINT_CAP
+from .sinkhorn import DENSE_POINT_CAP, DenseApplicator, LinearDomainApplicator
 
 __all__ = [
     "SphericalGrid",
@@ -46,12 +50,14 @@ __all__ = [
     "sht_adjoint",
     "bandlimited_heat_apply",
     "bandlimited_heat_matrix",
+    "positive_heat_multipliers",
     "antenna_legendre_coeffs",
     "antenna_kernel_apply",
     "antenna_kernel_matrix",
     "antenna_height",
     "reflector_map",
     "zonal_profile_min",
+    "zonal_log_kernel",
     "SphereKernelSpec",
     "SphereDenseApplicator",
     "SphereSHTApplicator",
@@ -308,6 +314,16 @@ def heat_multipliers(t, W):
     return np.exp(-t * l * (l + 1.0))
 
 
+def positive_heat_multipliers(t, W):
+    """heat_multipliers(t, W), refused when the truncated kernel is not positive."""
+    mult = heat_multipliers(t, W)
+    if zonal_profile_min(mult) <= 0.0:
+        raise ValueError(
+            f"truncated heat kernel is not positive at t={t:g}, W={W}; raise t or W"
+        )
+    return mult
+
+
 def bandlimited_heat_matrix(grid, t, W=None):
     """Dense band-limited heat kernel matrix (for checks and small runs)."""
     if W is None:
@@ -316,15 +332,30 @@ def bandlimited_heat_matrix(grid, t, W=None):
         raise ValueError(
             f"{grid.size} nodes exceeds the {DENSE_POINT_CAP} cap for dense kernels"
         )
-    return _zonal_matrix(grid, heat_multipliers(t, W))
-
-
-def _zonal_matrix(grid, multipliers):
-    l = np.arange(len(multipliers))
-    series = (2.0 * l + 1.0) * np.asarray(multipliers, dtype=float)
     xyz = grid.embed()
-    gram = np.clip(xyz @ xyz.T, -1.0, 1.0)
-    return legval(gram, series)
+    return _zonal_kernel(xyz, xyz, heat_multipliers(t, W))
+
+
+def _zonal_series(multipliers):
+    """Legendre series sum mult_l (2l+1) P_l of a zonal kernel profile."""
+    l = np.arange(len(multipliers))
+    return (2.0 * l + 1.0) * np.asarray(multipliers, dtype=float)
+
+
+def _zonal_kernel(a, b, multipliers):
+    """K(a_i, b_j) = sum_l mult_l (2l+1) P_l(a_i . b_j) for unit vectors a, b."""
+    return legval(np.clip(a @ b.T, -1.0, 1.0), _zonal_series(multipliers))
+
+
+def zonal_log_kernel(a, b, multipliers):
+    """log K(a_i, b_j) of a zonal kernel between unit vectors a (M, 3), b (N, 3).
+
+    Entries where the kernel vanishes (the antenna diagonal) are -inf.
+    Dense; DenseApplicator.from_log_kernel calls it only under the cap.
+    """
+    K = _zonal_kernel(a, b, multipliers)
+    with np.errstate(divide="ignore"):
+        return np.log(np.maximum(K, 0.0))
 
 
 def zonal_profile_min(multipliers, samples=20001):
@@ -333,10 +364,8 @@ def zonal_profile_min(multipliers, samples=20001):
     Positivity of the profile implies positivity of the whole kernel
     matrix for any node placement.
     """
-    l = np.arange(len(multipliers))
-    series = (2.0 * l + 1.0) * np.asarray(multipliers, dtype=float)
     s = np.linspace(-1.0, 1.0, samples)
-    return float(legval(s, series).min())
+    return float(legval(s, _zonal_series(multipliers)).min())
 
 
 def antenna_legendre_coeffs(k):
@@ -481,54 +510,38 @@ class SphereKernelSpec:
         return 2.0 / self.k if self.t is None else self.t
 
     def multipliers(self, grid):
+        """Per-degree multipliers; a heat kernel must also be positive."""
         if self.kind == "heat":
             W = grid.W if self.degree is None else self.degree
-            return heat_multipliers(self.heat_time, W)
+            return positive_heat_multipliers(self.heat_time, W)
         return antenna_multipliers(self.k, self.degree)
 
 
-class _SphereApplicatorBase:
-    def __init__(self, grid, spec, p, q):
-        p = np.asarray(p, dtype=float)
-        q = np.asarray(q, dtype=float)
-        if p.shape != (grid.size,) or q.shape != (grid.size,):
-            raise ValueError("weight vectors must match the grid size")
-        mult = spec.multipliers(grid)
-        if len(mult) - 1 > grid.W:
-            raise ValueError(
-                f"kernel degree {len(mult) - 1} exceeds grid bandwidth {grid.W}"
-            )
-        if spec.kind == "heat" and zonal_profile_min(mult) <= 0.0:
-            raise ValueError(
-                "truncated heat kernel is not positive at this (t, W); "
-                "decrease t or raise the bandwidth"
-            )
-        self.grid = grid
-        self.spec = spec
-        self.k = float(spec.k)
-        self.p = p
-        self.q = q
-        self.log_p = np.log(p)
-        self.log_q = np.log(q)
-        self._mult = mult
-
-    @property
-    def size(self):
-        return self.grid.size
-
-    def describe(self):
-        return {
-            "manifold": "sphere",
-            "W": self.grid.W,
-            "k": self.spec.k,
-            "kernel": self.spec.kind,
-            "heat_time": self.spec.heat_time,
-            "points": self.grid.size,
-        }
+def _grid_multipliers(grid, spec, p, q):
+    """Multipliers of spec on grid, after checking the weights and the degree."""
+    if np.shape(p) != (grid.size,) or np.shape(q) != (grid.size,):
+        raise ValueError("weight vectors must match the grid size")
+    mult = spec.multipliers(grid)
+    if len(mult) - 1 > grid.W:
+        raise ValueError(
+            f"kernel degree {len(mult) - 1} exceeds grid bandwidth {grid.W}"
+        )
+    return mult
 
 
-class SphereDenseApplicator(_SphereApplicatorBase):
-    """Exact log-domain softmin against the materialized kernel matrix.
+def _describe(grid, spec):
+    return {
+        "manifold": "sphere",
+        "W": grid.W,
+        "k": spec.k,
+        "kernel": spec.kind,
+        "heat_time": spec.heat_time,
+        "points": grid.size,
+    }
+
+
+class SphereDenseApplicator(DenseApplicator):
+    """Exact log-domain softmin against the materialized zonal kernel matrix.
 
     The antenna kernel vanishes on the diagonal; its log-kernel entries
     there are -inf, which the log-sum-exp reduction handles (the off
@@ -536,89 +549,42 @@ class SphereDenseApplicator(_SphereApplicatorBase):
     """
 
     def __init__(self, grid, spec, p, q):
-        super().__init__(grid, spec, p, q)
-        if grid.size > DENSE_POINT_CAP:
-            raise ValueError(
-                f"dense applicator needs at most {DENSE_POINT_CAP} nodes, "
-                f"got {grid.size}"
-            )
-        K = _zonal_matrix(grid, self._mult)
-        with np.errstate(divide="ignore"):
-            self._log_K = np.log(np.maximum(K, 0.0))
-        self.fallbacks = 0
-
-    def _softmin(self, values, log_weights):
-        s = -self.k * np.asarray(values, dtype=float) + log_weights
-        N = self.size
-        out = np.empty(N)
-        block = max(1, min(N, (1 << 22) // N))
-        for start in range(0, N, block):
-            cols = self._log_K[:, start : start + block]
-            out[start : start + block] = logsumexp(cols + s[:, None], axis=0)
-        return out / self.k
-
-    def softmin_to_target(self, u):
-        return self._softmin(u, self.log_p)
-
-    def softmin_to_source(self, v):
-        # kernel matrices here are symmetric (same nodes on both sides)
-        return self._softmin(v, self.log_q)
-
-    def cost_row(self, i):
-        with np.errstate(divide="ignore"):
-            return -self._log_K[i] / self.k
+        mult = _grid_multipliers(grid, spec, p, q)
+        xyz = grid.embed()
+        self._load(spec.k, p, q, lambda: zonal_log_kernel(xyz, xyz, mult),
+                   symmetric=True)
+        self.grid = grid
+        self.spec = spec
 
     def describe(self):
-        d = super().describe()
-        d["backend"] = "dense"
-        return d
+        return {**_describe(self.grid, self.spec), "backend": "dense"}
 
 
-class SphereSHTApplicator(_SphereApplicatorBase):
+class SphereSHTApplicator(LinearDomainApplicator):
     """Accelerated linear-domain softmin through the harmonic expansion.
 
-    Each application shifts by the running minimum of the potential (the
-    largest scaled entry is then exactly 1), applies the zonal kernel in
-    O(W^3), and checks the output. Nonpositive or non-finite results fall
-    back to the dense log-domain route when the grid is small enough,
-    counting fallbacks; larger grids raise.
+    Each application applies the zonal kernel in O(W^3) in the linear
+    domain (see LinearDomainApplicator for the shift, the fallback to
+    SphereDenseApplicator on underflow, counted in .fallbacks, and the
+    abort past DENSE_POINT_CAP nodes).
     """
 
+    mode = "sht"
+
     def __init__(self, grid, spec, p, q):
-        super().__init__(grid, spec, p, q)
-        self.fallbacks = 0
-        self._dense = None
+        self._mult = _grid_multipliers(grid, spec, p, q)
+        super().__init__(spec.k, p, q)
+        self.grid = grid
+        self.spec = spec
 
-    def _fallback(self):
-        if self.grid.size > DENSE_POINT_CAP:
-            raise FloatingPointError(
-                "kernel application underflowed and the grid is too large "
-                "for the dense fallback; lower k or raise the bandwidth"
-            )
-        if self._dense is None:
-            self._dense = SphereDenseApplicator(
-                self.grid, self.spec, self.p, self.q
-            )
-        self.fallbacks += 1
-        return self._dense
-
-    def _softmin(self, values, log_weights, direction):
-        values = np.asarray(values, dtype=float)
-        shift = values.min()
-        w = np.exp(-self.k * (values - shift) + log_weights)
+    def _linear_apply(self, w):
         out = _apply_zonal(self.grid, w, self._mult)
         if not np.all(np.isfinite(out)) or np.any(out <= 0.0):
-            dense = self._fallback()
-            if direction == "target":
-                return dense.softmin_to_target(values)
-            return dense.softmin_to_source(values)
-        return np.log(out) / self.k - shift
+            raise FloatingPointError("sht kernel application produced nonpositive values")
+        return out
 
-    def softmin_to_target(self, u):
-        return self._softmin(u, self.log_p, "target")
-
-    def softmin_to_source(self, v):
-        return self._softmin(v, self.log_q, "source")
+    def _build_dense(self):
+        return SphereDenseApplicator(self.grid, self.spec, self.p, self.q)
 
     def cost_row(self, i):
         e = np.zeros(self.size)
@@ -628,7 +594,5 @@ class SphereSHTApplicator(_SphereApplicatorBase):
             return -np.log(np.maximum(col, 0.0)) / self.k
 
     def describe(self):
-        d = super().describe()
-        d["backend"] = "sht"
-        d["sht_fallbacks"] = self.fallbacks
-        return d
+        return {**_describe(self.grid, self.spec), "backend": "sht",
+                "sht_fallbacks": self.fallbacks}

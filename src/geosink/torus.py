@@ -7,11 +7,14 @@ periodic distance,
     c(x, y) = min over integer shifts m of |x + m - y|^2 / 2,
 
 which decouples per axis. Kernel application (the inner loop of the scaling
-iteration) comes in two flavours: an exact log-domain evaluation with
-max-shifted log-sum-exp, quadratic in the number of points, and an FFT
-circular convolution in the linear domain that exploits the translation
-invariance of the kernel. The FFT route checks its own output and falls
-back to the exact route when underflow produces nonpositive values.
+iteration) comes in two flavours. The exact one is the package's single
+dense route, sinkhorn.DenseApplicator, over a matrix built here: the
+circulant log_K[a, b] = log_profile[(a - b) mod k] per axis on the lattice,
+or the log-kernel between two point clouds. The fast one is an FFT circular
+convolution in the linear domain that exploits the translation invariance
+of the kernel. It checks its own output and redoes an application that
+underflows to nonpositive values on the dense route, or aborts with
+NumericalAbortError when the lattice is past DENSE_POINT_CAP points.
 
 Kernels: the Gaussian profile exp(-k c) for sharpness k, or the periodized
 heat kernel at time t (an image sum over integer shifts), used through the
@@ -21,10 +24,12 @@ cost -log(K_t)/k so both fit the same exp(-k cost) shape.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp
+
+from .sinkhorn import DENSE_POINT_CAP, DenseApplicator, LinearDomainApplicator
 
 __all__ = [
     "TorusGrid",
@@ -32,15 +37,11 @@ __all__ = [
     "torus_cost",
     "torus_cost_matrix",
     "torus_heat_kernel",
-    "direct_softmin_apply",
+    "torus_log_kernel",
     "fft_apply",
     "FFTUnderflowError",
     "TorusLatticeApplicator",
-    "TorusPointsApplicator",
 ]
-
-# dense (quadratic-memory) paths refuse to run past this many support points
-DENSE_POINT_CAP = 4096
 
 _LATTICE_POINT_CAP = 10_000_000
 
@@ -204,46 +205,41 @@ class TorusKernelSpec:
         return -self.log_cost_profile(grid) / self.k
 
 
+def torus_log_kernel(xs, ys, spec):
+    """Log-kernel matrix -k c(xs_i, ys_j) between torus point sets.
+
+    Gaussian: c is the half squared periodic distance. Heat: the log of
+    the image sum, normalized to 0 at zero displacement as on the lattice.
+    Dense; DenseApplicator.from_log_kernel calls it only under the cap.
+    """
+    if spec.kind == "gaussian":
+        return -float(spec.k) * torus_cost_matrix(xs, ys)
+    n = xs.shape[1]
+    delta = xs[:, None, :] - ys[None, :, :]
+    log_k = _log_heat_image_sum(delta, spec.heat_time, spec.images, n)
+    return log_k - _log_heat_image_sum(np.zeros(n), spec.heat_time, spec.images, n)
+
+
+def _circulant_log_kernel(log_profile):
+    """N x N matrix log_K[a, b] = log_profile[(a - b) mod k] per axis.
+
+    a and b are lexicographic flat lattice indices; row a is the kernel
+    the FFT convolution applies for output a. Gathered through per-axis
+    k x k difference tables, so nothing larger than the result is built.
+    """
+    k, n = log_profile.shape[0], log_profile.ndim
+    diff = (np.arange(k)[:, None] - np.arange(k)[None, :]) % k
+    index = []
+    for axis in range(n):
+        shape = [1] * (2 * n)
+        shape[axis] = shape[n + axis] = k
+        index.append(diff.reshape(shape))
+    return log_profile[tuple(index)].reshape(k**n, k**n)
+
+
 # ---------------------------------------------------------------------------
 # kernel application
 # ---------------------------------------------------------------------------
-
-
-def _softmin_blocked(log_profile, grid, s, k):
-    """Exact log-domain apply: out_j = logsumexp_i(log_profile[j-i] + s_i) / k.
-
-    log_profile has shape (k,)*n; s is the source log-vector (log of the
-    scaled weights). Works in target blocks so memory stays O(block * N).
-    """
-    N = grid.size
-    kk = grid.k
-    n = grid.n
-    idx = np.unravel_index(np.arange(N), (kk,) * n)
-    idx = np.stack(idx, axis=-1)  # (N, n) integer multi-indices
-    out = np.empty(N)
-    block = max(1, min(N, (1 << 22) // N))
-    for start in range(0, N, block):
-        j = idx[start : start + block]  # (B, n)
-        delta = (j[:, None, :] - idx[None, :, :]) % kk  # (B, N, n)
-        rows = log_profile[tuple(delta[..., a] for a in range(n))]  # (B, N)
-        out[start : start + block] = logsumexp(rows + s[None, :], axis=1)
-    return out / k
-
-
-def direct_softmin_apply(grid, spec, values, log_weights):
-    """Reference softmin: out_j = log(sum_i K_ji exp(-k values_i) w_i) / k.
-
-    values is the potential on the source copy of the lattice, log_weights
-    the log of the source measure weights. Exact log-sum-exp with max
-    shift; quadratic cost, so refuses to run past DENSE_POINT_CAP points.
-    """
-    if grid.size > DENSE_POINT_CAP:
-        raise ValueError(
-            f"direct apply is quadratic; {grid.size} points exceeds the "
-            f"{DENSE_POINT_CAP} point cap, use the fft backend"
-        )
-    s = -spec.k * np.asarray(values, dtype=float) + log_weights
-    return _softmin_blocked(spec.log_cost_profile(grid), grid, s, spec.k)
 
 
 def fft_apply(profile, vec):
@@ -276,35 +272,47 @@ def _fft_apply_hat(profile_hat, shape, vec):
     return out
 
 
-class _TorusApplicatorBase:
-    """Shared state for the lattice applicators: weights, profiles, costs."""
+class TorusLatticeApplicator(LinearDomainApplicator):
+    """Kernel application on the common lattice, direct or FFT mode.
 
-    def __init__(self, grid, spec, p, q):
+    mode "direct" always takes the exact log-domain route. mode "fft"
+    convolves in the linear domain by FFT (see LinearDomainApplicator for
+    the shift, the fallback to the exact route on underflow, counted in
+    .fallbacks, and the abort past DENSE_POINT_CAP points). The exact
+    route is the circulant log-kernel over DenseApplicator, built on
+    first use.
+    """
+
+    def __init__(self, grid, spec, p, q, mode="direct"):
         if grid.k != spec.k:
             raise ValueError(
                 f"grid resolution {grid.k} does not match kernel sharpness {spec.k}"
             )
-        p = np.asarray(p, dtype=float)
-        q = np.asarray(q, dtype=float)
-        if p.shape != (grid.size,) or q.shape != (grid.size,):
+        if mode not in ("direct", "fft"):
+            raise ValueError(f"unknown mode {mode!r}")
+        if np.shape(p) != (grid.size,) or np.shape(q) != (grid.size,):
             raise ValueError("weight vectors must match the lattice size")
+        super().__init__(spec.k, p, q)
         self.grid = grid
         self.spec = spec
-        self.k = float(spec.k)
-        self.p = p
-        self.q = q
-        self.log_p = np.log(p)
-        self.log_q = np.log(q)
+        self.mode = mode
         self._log_profile = spec.log_cost_profile(grid)
         self._cost_profile = -self._log_profile / self.k
+        if mode == "fft":
+            self._profile_hat = np.fft.rfftn(np.exp(self._log_profile))
 
-    @property
-    def size(self):
-        return self.grid.size
+    def _linear_apply(self, w):
+        return _fft_apply_hat(self._profile_hat, self.grid.shape, w)
+
+    def _build_dense(self):
+        return DenseApplicator.from_log_kernel(
+            self.k, self.p, self.q,
+            lambda: _circulant_log_kernel(self._log_profile), symmetric=True,
+        )
 
     def cost_row(self, i):
         """Cost row c(x_i, .) over the target lattice, shape (N,)."""
-        multi = tuple(int(m) for m in np.unravel_index(i, (self.grid.k,) * self.grid.n))
+        multi = tuple(int(m) for m in np.unravel_index(i, self.grid.shape))
         rolled = np.roll(self._cost_profile, shift=multi, axis=tuple(range(self.grid.n)))
         return rolled.ravel()
 
@@ -316,123 +324,6 @@ class _TorusApplicatorBase:
             "kernel": self.spec.kind,
             "heat_time": self.spec.heat_time,
             "points": self.grid.size,
-        }
-
-
-class TorusLatticeApplicator(_TorusApplicatorBase):
-    """Kernel application on the common lattice, direct or FFT mode.
-
-    mode "direct" always takes the exact log-domain route. mode "fft"
-    converts to the linear domain with a shift by the running minimum of
-    the potential (so the largest scaled entry is exactly 1), convolves by
-    FFT, and falls back to the direct route on underflow, counting the
-    fallbacks in .fallbacks.
-    """
-
-    def __init__(self, grid, spec, p, q, mode="direct"):
-        super().__init__(grid, spec, p, q)
-        if mode not in ("direct", "fft"):
-            raise ValueError(f"unknown mode {mode!r}")
-        if mode == "direct" and grid.size > DENSE_POINT_CAP:
-            raise ValueError(
-                f"direct mode is quadratic; {grid.size} points exceeds the "
-                f"{DENSE_POINT_CAP} point cap"
-            )
-        self.mode = mode
-        self.fallbacks = 0
-        if mode == "fft":
-            self._profile = np.exp(self._log_profile)
-            self._profile_hat = np.fft.rfftn(self._profile)
-        else:
-            self._profile = None
-            self._profile_hat = None
-
-    def _apply(self, values, log_weights):
-        values = np.asarray(values, dtype=float)
-        if self.mode == "direct":
-            s = -self.k * values + log_weights
-            return _softmin_blocked(self._log_profile, self.grid, s, self.k)
-        shift = values.min()
-        w = np.exp(-self.k * (values - shift) + log_weights)
-        try:
-            conv = _fft_apply_hat(self._profile_hat, self._profile.shape, w)
-            return np.log(conv) / self.k - shift
-        except FFTUnderflowError:
-            self.fallbacks += 1
-            s = -self.k * values + log_weights
-            return _softmin_blocked(self._log_profile, self.grid, s, self.k)
-
-    def softmin_to_target(self, u):
-        """v(y_j) = log(sum_i exp(-k(c_ij + u_i)) p_i) / k."""
-        return self._apply(u, self.log_p)
-
-    def softmin_to_source(self, v):
-        """u(x_i) = log(sum_j exp(-k(c_ij + v_j)) q_j) / k."""
-        return self._apply(v, self.log_q)
-
-    def describe(self):
-        d = super().describe()
-        d["backend"] = self.mode
-        d["fft_fallbacks"] = self.fallbacks
-        return d
-
-
-class TorusPointsApplicator:
-    """Exact log-domain applicator for measures on arbitrary torus points.
-
-    Used for point-cloud inputs, where the supports need not coincide or
-    lie on a lattice. Quadratic in the support sizes, capped at
-    DENSE_POINT_CAP points per side. Gaussian or heat-kernel cost.
-    """
-
-    def __init__(self, xs, ys, spec, p, q):
-        xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        ys = np.atleast_2d(np.asarray(ys, dtype=float))
-        if max(len(xs), len(ys)) > DENSE_POINT_CAP:
-            raise ValueError(
-                f"point applicator is quadratic; supports exceed the "
-                f"{DENSE_POINT_CAP} point cap"
-            )
-        if xs.shape[1] != ys.shape[1]:
-            raise ValueError("source and target dimensions differ")
-        self.spec = spec
-        self.k = float(spec.k)
-        self.p = np.asarray(p, dtype=float)
-        self.q = np.asarray(q, dtype=float)
-        self.log_p = np.log(self.p)
-        self.log_q = np.log(self.q)
-        if spec.kind == "gaussian":
-            cost = torus_cost_matrix(xs, ys)
-        else:
-            n = xs.shape[1]
-            delta = xs[:, None, :] - ys[None, :, :]
-            log_k = _log_heat_image_sum(delta, spec.heat_time, spec.images, n)
-            log_0 = _log_heat_image_sum(np.zeros(n), spec.heat_time, spec.images, n)
-            cost = -(log_k - log_0) / self.k
-        self._cost = cost
-        self.fallbacks = 0
-
-    @property
-    def size(self):
-        return self._cost.shape[0]
-
-    def softmin_to_target(self, u):
-        a = -self.k * (self._cost + np.asarray(u, dtype=float)[:, None])
-        return logsumexp(a + self.log_p[:, None], axis=0) / self.k
-
-    def softmin_to_source(self, v):
-        a = -self.k * (self._cost + np.asarray(v, dtype=float)[None, :])
-        return logsumexp(a + self.log_q[None, :], axis=1) / self.k
-
-    def cost_row(self, i):
-        return self._cost[i].copy()
-
-    def describe(self):
-        return {
-            "manifold": "torus",
-            "kernel": self.spec.kind,
-            "k": self.spec.k,
-            "heat_time": self.spec.heat_time,
-            "points": self._cost.shape,
-            "backend": "points-direct",
+            "backend": self.mode,
+            "fft_fallbacks": self.fallbacks,
         }

@@ -6,10 +6,15 @@ left behind. Wall-clock fields are stripped before any equality check.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import geosink
 from geosink.cli import main
 
 SMOOTH_F = "3*(1-cos(2*pi*x1))"
@@ -182,6 +187,21 @@ class TestTransportTorus:
         rc = main(["transport", "torus", "--config", cfg, "--out", str(tmp_path / "o")])
         assert rc == 2
 
+    def test_fft_underflow_past_the_cap_aborts(self, tmp_path):
+        # a narrow heat kernel on a 2-D lattice past the dense cap: the
+        # first FFT apply underflows and there is no exact route to redo it
+        cfg = _cfg(
+            tmp_path,
+            {"manifold": "torus", "n": 2, "k": 128, "kernel": "heat", "t": 1e-3,
+             "f": "40*cos(2*pi*x1)", "g": "0", "tol": 1e-9},
+        )
+        out = tmp_path / "run"
+        assert main(["transport", "torus", "--config", cfg, "--out", str(out)]) == 3
+        dump = json.loads((out / "abort.json").read_text(encoding="utf-8"))
+        assert "underflow" in dump["error"]
+        assert dump["diagnostics"]["points"] == 128 * 128
+        assert dump["diagnostics"]["dense_point_cap"] == 4096
+
 
 class TestTorusConfigErrors:
     def _rc(self, tmp_path, payload):
@@ -297,6 +317,21 @@ class TestTransportSphere:
         summary = _summary(out)
         assert summary["N"] == 10
         assert (out / "potentials_target.csv").exists()
+
+    def test_sphere_cloud_past_the_cap_rejected(self, tmp_path, capsys):
+        cloud = tmp_path / "big.txt"
+        angles = np.linspace(0.1, 3.0, 4097)
+        cloud.write_text(
+            "".join(f"sphere {2.0 * a:.8f} {a:.8f}\n" for a in angles), encoding="utf-8"
+        )
+        cfg = _cfg(
+            tmp_path,
+            {"manifold": "sphere", "k": 4, "W": 8, "backend": "direct",
+             "source_cloud": str(cloud), "target_cloud": str(cloud)},
+        )
+        rc = main(["transport", "sphere", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "cap" in capsys.readouterr().err
 
 
 class TestAntenna:
@@ -452,3 +487,12 @@ class TestEntryPoint:
 
     def test_no_arguments_shows_usage(self):
         assert main([]) == 2
+
+    def test_cli_import_loads_no_numpy(self):
+        # --threads only takes effect when it is set before numpy loads
+        src = str(Path(geosink.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        probe = "import sys, geosink.cli; print('numpy' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", probe], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"

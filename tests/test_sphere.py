@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import oracles
-from geosink.sinkhorn import initial_state, marginal_errors, run_until
+from geosink.sinkhorn import NumericalAbortError, initial_state, marginal_errors, run_until
 from geosink.sphere import (
     HarmonicCoeffs,
     SphereDenseApplicator,
@@ -401,6 +401,22 @@ class TestSphereApplicators:
         assert_allclose(
             fast.softmin_to_target(u), dense.softmin_to_target(u), atol=1e-8
         )
+
+    def test_underflow_past_the_cap_aborts(self, monkeypatch):
+        grid = SphericalGrid(32)  # 4356 nodes, past the dense cap
+        p = grid.node_weights
+        fast = SphereSHTApplicator(grid, SphereKernelSpec("antenna", 16), p, p)
+
+        def quadratic_route():
+            raise AssertionError("entered the quadratic route")
+
+        monkeypatch.setattr(fast, "_build_dense", quadratic_route)
+        u = np.zeros(grid.size)
+        u[grid.size // 2] = -5.0
+        with pytest.raises(NumericalAbortError, match="underflow") as info:
+            fast.softmin_to_target(u)
+        assert info.value.diagnostics["points"] == grid.size
+        assert fast.fallbacks == 0
 
 
 class TestSphereEmbed:

@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import oracles
+from geosink.sinkhorn import DenseApplicator, NumericalAbortError
 from geosink.torus import (
     FFTUnderflowError,
     TorusGrid,
     TorusKernelSpec,
     TorusLatticeApplicator,
-    direct_softmin_apply,
     fft_apply,
     torus_cost,
     torus_cost_matrix,
@@ -139,12 +139,17 @@ class TestKernelSpec:
             TorusKernelSpec("poisson", 8)
 
 
+def _direct_softmin(grid, spec, values, weights):
+    """out_j = log(sum_i K_ji exp(-k values_i) w_i) / k on the direct route."""
+    app = TorusLatticeApplicator(grid, spec, weights, weights, mode="direct")
+    return app.softmin_to_target(values)
+
+
 class TestDirectSoftmin:
     def test_uniform_zero_potential_gives_constant(self):
         grid = TorusGrid(1, 16)
         spec = TorusKernelSpec("gaussian", 16)
-        log_w = np.full(16, -np.log(16.0))
-        out = direct_softmin_apply(grid, spec, np.zeros(16), log_w)
+        out = _direct_softmin(grid, spec, np.zeros(16), np.full(16, 1.0 / 16.0))
         assert np.ptp(out) < 1e-14
 
     def test_matches_high_precision_summation(self, rng):
@@ -158,7 +163,7 @@ class TestDirectSoftmin:
         u = rng.standard_normal(k)
         w = rng.random(k) + 0.1
         w = w / w.sum()
-        out = direct_softmin_apply(grid, spec, u, np.log(w))
+        out = _direct_softmin(grid, spec, u, w)
         pts = grid.points()
         with mpmath.workdps(50):
             ref = []
@@ -173,8 +178,26 @@ class TestDirectSoftmin:
     def test_point_cap_enforced(self):
         grid = TorusGrid(2, 128)  # 16384 points
         spec = TorusKernelSpec("gaussian", 128)
+        w = np.full(grid.size, 1.0 / grid.size)
         with pytest.raises(ValueError, match="cap"):
-            direct_softmin_apply(grid, spec, np.zeros(grid.size), np.zeros(grid.size))
+            _direct_softmin(grid, spec, np.zeros(grid.size), w)
+
+    def test_two_dim_matches_dense_cost_matrix(self, rng):
+        # the multi-index circulant gather against the closed-form cost
+        k = 8
+        grid = TorusGrid(2, k)
+        spec = TorusKernelSpec("gaussian", k)
+        p = rng.random(grid.size) + 0.2
+        q = rng.random(grid.size) + 0.2
+        p, q = p / p.sum(), q / q.sum()
+        direct = TorusLatticeApplicator(grid, spec, p, q, mode="direct")
+        pts = grid.points()
+        dense = DenseApplicator(k, p, q, torus_cost_matrix(pts, pts))
+        u = 0.3 * rng.standard_normal(grid.size)
+        assert_allclose(direct.softmin_to_target(u), dense.softmin_to_target(u),
+                        atol=1e-13)
+        assert_allclose(direct.softmin_to_source(u), dense.softmin_to_source(u),
+                        atol=1e-13)
 
 
 class TestFFTApply:
@@ -264,6 +287,28 @@ class TestLatticeApplicator:
         out = app.softmin_to_target(u)
         assert app.fallbacks == 1
         assert np.array_equal(out, ref.softmin_to_target(u))
+
+    def test_underflow_past_the_cap_aborts(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        # 16384 points, past the dense cap; a narrow heat kernel, since the
+        # 2-D Gaussian at k=128 stays above the FFT's rounding floor
+        grid = TorusGrid(2, 128)
+        spec = TorusKernelSpec("heat", 128, t=1e-3)
+        w = rng.random(grid.size) + 0.5
+        w = w / w.sum()
+        app = TorusLatticeApplicator(grid, spec, w, w, mode="fft")
+
+        def quadratic_route():
+            raise AssertionError("entered the quadratic route")
+
+        monkeypatch.setattr(app, "_build_dense", quadratic_route)
+        u = np.zeros(grid.size)
+        u[grid.size // 2] = -2.0  # one deep spike underflows the shifted convolution
+        with pytest.raises(NumericalAbortError, match="underflow") as info:
+            app.softmin_to_target(u)
+        message = str(info.value)
+        assert str(grid.size) in message and "DENSE_POINT_CAP" in message
+        assert app.fallbacks == 0
 
     def test_mode_guard(self):
         with pytest.raises(ValueError):

@@ -711,6 +711,40 @@ def bench_torus_apply(sizes, reps=11, inner=None):
     return [(n, float(t)) for n, t in best.items()]
 
 
+# the README's 1-D example pair
+_README_F = "3*(1-cos(2*pi*x1))"
+_README_G = "3*(1-cos(2*pi*(x1-0.375)))"
+
+
+def bench_torus_solves(ks, tol=1e-9):
+    """The README pair solved through the 1-D fft route to tol at each k.
+
+    One record per k: stop reason, steps, the route's repaired outputs
+    and fallbacks, and the seconds the solve took.
+    """
+    from .measures import discretize_torus
+    from .sinkhorn import initial_state, run_until
+    from .torus import TorusGrid, TorusKernelSpec, TorusLatticeApplicator
+
+    records = []
+    for k in ks:
+        p = discretize_torus(_README_F, k, 1).weights
+        q = discretize_torus(_README_G, k, 1).weights
+        app = TorusLatticeApplicator(TorusGrid(1, k), TorusKernelSpec("gaussian", k=k),
+                                     p, q, mode="fft")
+        t0 = time.perf_counter()
+        state = run_until(initial_state(app), app, tol=tol)
+        records.append({
+            "k": k,
+            "stop_reason": state.stop_reason,
+            "steps": state.m,
+            "fft_repaired": app.repaired,
+            "fft_fallbacks": app.fallbacks,
+            "seconds": time.perf_counter() - t0,
+        })
+    return records
+
+
 def bench_sphere_apply(bandwidths, reps=5, inner=2):
     """Per-application seconds of the SHT backend at each bandwidth (min over reps)."""
     import gc
@@ -845,8 +879,10 @@ def _suite_sht(cfg):
 def _suite_bench(cfg):
     torus_sizes = cfg.get("torus_sizes", [2**e for e in range(10, 17)])
     sphere_ws = cfg.get("sphere_bandwidths", [16, 23, 32, 45, 64])
+    solve_ks = cfg.get("torus_solve_ks", [256, 1024])
     torus_pairs = bench_torus_apply(torus_sizes)
     sphere_pairs = bench_sphere_apply(sphere_ws)
+    torus_solves = bench_torus_solves(solve_ks)
     torus_slope = fit_loglog_slope(torus_pairs)
     sphere_slope = fit_loglog_slope(sphere_pairs)
     failures = []
@@ -854,9 +890,16 @@ def _suite_bench(cfg):
         failures.append(f"torus time slope {torus_slope:.3f} outside [1.0, 1.3]")
     if not 1.35 <= sphere_slope <= 1.7:
         failures.append(f"sphere time slope {sphere_slope:.3f} outside [1.35, 1.7]")
+    for rec in torus_solves:
+        if rec["stop_reason"] != "tol":
+            failures.append(
+                f"1-D fft solve at k={rec['k']} stopped on {rec['stop_reason']} "
+                f"after {rec['steps']} steps, not tol"
+            )
     return {
         "torus": torus_pairs,
         "sphere": sphere_pairs,
+        "torus_solves": torus_solves,
         "torus_slope": torus_slope,
         "sphere_slope": sphere_slope,
         "failures": failures,

@@ -420,13 +420,21 @@ class LinearDomainApplicator:
     """Core of the fast routes (torus FFT, sphere SHT).
 
     Subclasses set mode and supply _linear_apply (the kernel on a
-    positive vector, raising FloatingPointError on a nonpositive output)
-    and _build_dense (the same kernel as a DenseApplicator). An application
-    shifts by the minimum of the potential, so the largest scaled weight is
-    exactly 1, applies the kernel in the linear domain and takes the log
-    back. An underflow redoes it on the dense route, built on first use and
-    counted in .fallbacks; past DENSE_POINT_CAP points, where that route is
-    quadratic, the run aborts instead. mode "direct" always takes it.
+    positive vector, raising FloatingPointError on an output it cannot
+    vouch for) and _build_dense (the same kernel as a DenseApplicator). An
+    application shifts by the minimum of the potential, so the largest
+    scaled weight is exactly 1, applies the kernel in the linear domain and
+    takes the log back. An underflow redoes it on the dense route, built on
+    first use and counted in .fallbacks; past DENSE_POINT_CAP points, where
+    that route is quadratic, the run aborts instead. mode "direct" always
+    takes it.
+
+    What counts as an underflow is the subclass's call. The 1-D torus
+    route certifies each FFT output against the rounding scale
+    B = eps * sum(w) * max(profile): outputs at or below B / 1e-13 are
+    redone as exact positive sums, and only an output below k * tiny / 1e-13
+    after that raises. The 2-D and 3-D torus routes and the sphere's SHT
+    route raise on a nonpositive or non-finite output only.
     """
 
     fallbacks = 0

@@ -12,24 +12,42 @@ dense route, sinkhorn.DenseApplicator, over a matrix built here: the
 circulant log_K[a, b] = log_profile[(a - b) mod k] per axis on the lattice,
 or the log-kernel between two point clouds. The fast one is an FFT circular
 convolution in the linear domain that exploits the translation invariance
-of the kernel. It checks its own output and redoes an application that
-underflows to nonpositive values on the dense route, or aborts with
-NumericalAbortError when the lattice is past DENSE_POINT_CAP points.
+of the kernel.
+
+On the 1-D lattice the FFT route is certified. The FFT's error in every
+output is of the order of the rounding scale B = eps * sum(w) * max(profile)
+of its input w, so an output above B / delta (delta = 1e-13) is accurate to
+about delta relative. Every other output, including a nonpositive one, is
+redone as the exact positive sum sum_i profile[(j - i) mod k] w_i, which has
+no cancellation, and counted in .repaired. An output that still lies below
+k * tiny / delta after that has truly underflowed; the application is then
+redone on the dense route (counted in .fallbacks), or aborts with
+NumericalAbortError past DENSE_POINT_CAP points. Past the cap a redo that
+costs more than one dense application at the cap (flagged outputs * k >
+DENSE_POINT_CAP^2) aborts too. The 2-D and 3-D routes are not certified:
+they fall back on a nonpositive output only.
 
 Kernels: the Gaussian profile exp(-k c) for sharpness k, or the periodized
-heat kernel at time t (an image sum over integer shifts), used through the
-cost -log(K_t)/k so both fit the same exp(-k cost) shape.
+heat kernel at time t (an image sum over integer shifts of the displacement
+reduced to [-1/2, 1/2)), used through the cost -log(K_t)/k so both fit the
+same exp(-k cost) shape.
 """
-
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import logsumexp
 
-from .sinkhorn import DENSE_POINT_CAP, DenseApplicator, LinearDomainApplicator
+from .sinkhorn import (
+    DENSE_POINT_CAP,
+    DenseApplicator,
+    LinearDomainApplicator,
+    NumericalAbortError,
+)
 
 try:  # numpy >= 2: the gufuncs that np.fft.rfft and np.fft.irfft call
     from numpy.fft import _pocketfft_umath as _pocketfft
@@ -49,6 +67,12 @@ __all__ = [
 ]
 
 _LATTICE_POINT_CAP = 10_000_000
+
+_EPS = np.finfo(float).eps
+# relative accuracy a certified 1-D FFT output is held to
+CERTIFY_DELTA = 1e-13
+# elements of kernel rows gathered at once by the exact redo (1 MB)
+_REDO_BLOCK = 1 << 17
 
 
 class FFTUnderflowError(FloatingPointError):
@@ -135,7 +159,8 @@ def torus_heat_kernel(delta, t, images=3):
     exp(-|delta + m|^2 / (4 t)) for displacement arrays of shape (..., n).
     The cutoff default images=3 is far below 1e-12 relative truncation for
     t <= 0.05; larger times may need a larger cutoff (the spectral sum in
-    the tests provides the cross-check).
+    the tests provides the cross-check). The lattice and point-cloud
+    kernels take theirs from TorusKernelSpec.image_cutoff.
     """
     if t <= 0:
         raise ValueError(f"heat time must be positive, got t={t}")
@@ -143,6 +168,11 @@ def torus_heat_kernel(delta, t, images=3):
     n = delta.shape[-1]
     log_val = _log_heat_image_sum(delta, t, images, n)
     return np.exp(log_val)
+
+
+def _wrap(delta):
+    """Displacements reduced to [-1/2, 1/2) per axis, the minimum image."""
+    return delta - np.floor(delta + 0.5)
 
 
 def _log_heat_image_sum(delta, t, images, n):
@@ -188,6 +218,17 @@ class TorusKernelSpec:
             return None
         return 2.0 / self.k if self.t is None else self.t
 
+    @property
+    def image_cutoff(self):
+        """Image shells summed for a displacement in [-1/2, 1/2).
+
+        Every neglected image lies at least M + 1/2 away, so its term is
+        below eps relative once M >= sqrt(4 t ln(1/eps)) - 1/2; images is
+        the floor, raised only when t needs it.
+        """
+        need = math.ceil(math.sqrt(4.0 * self.heat_time * math.log(1.0 / _EPS)) - 0.5)
+        return max(self.images, need)
+
     def log_cost_profile(self, grid):
         """-k * cost on the displacement lattice, shape (k,)*n.
 
@@ -201,7 +242,8 @@ class TorusKernelSpec:
         deltas = grid.displacements()
         if self.kind == "gaussian":
             return -self.k * torus_cost(deltas, np.zeros(grid.n))
-        log_k = _log_heat_image_sum(deltas, self.heat_time, self.images, grid.n)
+        log_k = _log_heat_image_sum(_wrap(deltas), self.heat_time, self.image_cutoff,
+                                    grid.n)
         origin = (0,) * grid.n
         return log_k - log_k[origin]
 
@@ -220,9 +262,10 @@ def torus_log_kernel(xs, ys, spec):
     if spec.kind == "gaussian":
         return -float(spec.k) * torus_cost_matrix(xs, ys)
     n = xs.shape[1]
-    delta = xs[:, None, :] - ys[None, :, :]
-    log_k = _log_heat_image_sum(delta, spec.heat_time, spec.images, n)
-    return log_k - _log_heat_image_sum(np.zeros(n), spec.heat_time, spec.images, n)
+    delta = _wrap(xs[:, None, :] - ys[None, :, :])
+    images = spec.image_cutoff
+    log_k = _log_heat_image_sum(delta, spec.heat_time, images, n)
+    return log_k - _log_heat_image_sum(np.zeros(n), spec.heat_time, images, n)
 
 
 def _circulant_log_kernel(log_profile):
@@ -305,10 +348,16 @@ class TorusLatticeApplicator(LinearDomainApplicator):
     mode "direct" always takes the exact log-domain route. mode "fft"
     convolves in the linear domain by FFT (see LinearDomainApplicator for
     the shift, the fallback to the exact route on underflow, counted in
-    .fallbacks, and the abort past DENSE_POINT_CAP points). The exact
+    .fallbacks, and the abort past DENSE_POINT_CAP points). On the 1-D
+    lattice every FFT output is certified against the rounding scale of
+    its input, and the outputs that fail are redone as exact positive
+    sums, counted in .repaired (see the module docstring). The exact
     route is the circulant log-kernel over DenseApplicator, built on
     first use.
     """
+
+    repaired = 0
+    _rows = None
 
     def __init__(self, grid, spec, p, q, mode="direct"):
         if grid.k != spec.k:
@@ -326,10 +375,48 @@ class TorusLatticeApplicator(LinearDomainApplicator):
         self._log_profile = spec.log_cost_profile(grid)
         self._cost_profile = -self._log_profile / self.k
         if mode == "fft":
-            self._profile_hat = np.fft.rfftn(np.exp(self._log_profile))
+            profile = np.exp(self._log_profile)
+            self._profile_hat = np.fft.rfftn(profile)
+            if grid.n == 1:
+                self._profile = profile
+                self._profile_max = float(profile.max())
+                self._floor = grid.k * np.finfo(float).tiny / CERTIFY_DELTA
 
     def _linear_apply(self, w):
-        return _fft_apply_hat(self._profile_hat, self.grid.shape, w)
+        if self.grid.n != 1:
+            return _fft_apply_hat(self._profile_hat, self.grid.shape, w)
+        out = _irfft(_rfft(w) * self._profile_hat, self.grid.k)
+        cut = _EPS * w.sum() * self._profile_max / CERTIFY_DELTA
+        lo = out.min()
+        if not lo > cut:  # also catches NaN
+            self._redo_exact(out, w, np.flatnonzero(~(out > cut)))
+            lo = out.min()
+        if not lo >= self._floor:
+            raise FFTUnderflowError(
+                "fft kernel application underflowed after the exact redo"
+            )
+        return out
+
+    def _redo_exact(self, out, w, flagged):
+        """out[j] = sum_i profile[(j - i) mod k] w_i for each flagged j, in place."""
+        k, count = self.grid.k, flagged.size
+        if k > DENSE_POINT_CAP and count * k > DENSE_POINT_CAP**2:
+            raise NumericalAbortError(
+                f"{count} of {k} fft outputs failed certification; redoing them "
+                f"exactly costs more than one dense application at "
+                f"DENSE_POINT_CAP={DENSE_POINT_CAP} points",
+                {"stage": "fft certification", "points": k, "flagged": int(count),
+                 "dense_point_cap": DENSE_POINT_CAP, "repaired": self.repaired},
+            )
+        if self._rows is None:
+            # row j = reversed profile doubled, from offset k - 1 - j: zero-copy
+            rev = self._profile[::-1]
+            self._rows = sliding_window_view(np.concatenate((rev, rev)), k)
+        block = max(1, _REDO_BLOCK // k)
+        for start in range(0, count, block):
+            idx = flagged[start : start + block]
+            out[idx] = self._rows[k - 1 - idx] @ w
+        self.repaired += count
 
     def _build_dense(self):
         return DenseApplicator.from_log_kernel(
@@ -353,4 +440,5 @@ class TorusLatticeApplicator(LinearDomainApplicator):
             "points": self.grid.size,
             "backend": self.mode,
             "fft_fallbacks": self.fallbacks,
+            "fft_repaired": self.repaired,
         }

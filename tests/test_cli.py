@@ -75,6 +75,21 @@ class TestTransportTorus:
         # the energy column never increases along the schedule
         assert np.all(np.diff(trace[:, 1]) <= 1e-12)
 
+    def test_fft_repairs_reported_in_summary(self, tmp_path):
+        # at k=256 the fft output spans about 1e11, so some entries are
+        # redone exactly; none underflows
+        cfg = _cfg(
+            tmp_path,
+            {"manifold": "torus", "n": 1, "k": 256, "f": SMOOTH_F, "g": SMOOTH_G,
+             "tol": 1e-9},
+        )
+        out = tmp_path / "run"
+        assert main(["transport", "torus", "--config", cfg, "--out", str(out)]) == 0
+        summary = _summary(out)
+        assert summary["stop_reason"] == "tol"
+        assert summary["backend"]["fft_repaired"] > 0
+        assert summary["backend"]["fft_fallbacks"] == 0
+
     def test_direct_and_fft_agree(self, tmp_path):
         base = {"manifold": "torus", "n": 1, "k": 16, "f": SMOOTH_F, "g": SMOOTH_G,
                 "tol": 1e-10}
@@ -468,7 +483,8 @@ class TestDiagnose:
         # tiny sizes exercise the wiring only; the slope bands are asserted
         # at real sizes by the acceptance suite
         cfg = _cfg(tmp_path, {"torus_sizes": [256, 512],
-                              "sphere_bandwidths": [4, 6]})
+                              "sphere_bandwidths": [4, 6],
+                              "torus_solve_ks": [8, 16]})
         out = tmp_path / "d"
         rc = main(["diagnose", "bench", "--config", cfg, "--out", str(out)])
         assert rc in (0, 1)
@@ -476,6 +492,13 @@ class TestDiagnose:
         assert len(report["torus"]) == 2 and len(report["sphere"]) == 2
         assert all(t > 0.0 for _, t in report["torus"] + report["sphere"])
         assert isinstance(report["torus_slope"], float)
+        solves = report["torus_solves"]
+        assert [rec["k"] for rec in solves] == [8, 16]
+        for rec in solves:
+            assert rec["stop_reason"] == "tol" and rec["steps"] > 0
+            assert rec["fft_fallbacks"] == 0 and rec["seconds"] > 0.0
+            assert isinstance(rec["fft_repaired"], int)
+        assert not any("1-D fft solve" in line for line in report["failures"])
 
     def test_unknown_suite_rejected(self, tmp_path):
         assert main(["diagnose", "entropy", "--out", str(tmp_path / "o")]) == 2

@@ -7,7 +7,14 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import oracles
-from geosink.sinkhorn import DenseApplicator, NumericalAbortError
+from geosink.measures import discretize_torus
+from geosink.sinkhorn import (
+    DENSE_POINT_CAP,
+    DenseApplicator,
+    NumericalAbortError,
+    initial_state,
+    run_until,
+)
 from geosink.torus import (
     FFTUnderflowError,
     TorusGrid,
@@ -129,6 +136,19 @@ class TestKernelSpec:
         prof = spec.log_cost_profile(grid)
         assert prof[0] == 0.0
         assert np.all(prof <= 0.0)
+
+    def test_small_k_heat_profile_is_even(self):
+        # t = 2/k = 0.25 at k=8: the image sum needs more than the default
+        # three shells, summed around the minimum-image displacement
+        grid = TorusGrid(2, 8)
+        spec = TorusKernelSpec("heat", 8)
+        prof = spec.log_cost_profile(grid)
+        reflected = prof[np.ix_((-np.arange(8)) % 8, (-np.arange(8)) % 8)]
+        assert np.abs(prof - reflected).max() <= 1e-15
+        # the 2-D heat kernel is the product of two 1-D spectral sums
+        axis = [oracles.heat_spectral_sum(d, 0.25) for d in grid.axis]
+        ref = np.log(np.outer(axis, axis)) - 2.0 * np.log(axis[0])
+        assert_allclose(prof, ref, atol=1e-13)
 
     def test_grid_mismatch_rejected(self):
         with pytest.raises(ValueError, match="does not match"):
@@ -273,20 +293,37 @@ class TestLatticeApplicator:
                 atol=1e-15,
             )
 
-    def test_underflow_falls_back_to_exact_route(self):
+    @staticmethod
+    def _spike_instance(spike_weight=None):
         rng = np.random.default_rng(11)
         k = 4096
         grid = TorusGrid(1, k)
         spec = TorusKernelSpec("gaussian", k)
         w = rng.random(k) + 0.5
         w = w / w.sum()
+        if spike_weight is not None:
+            w[k // 2] = spike_weight
         app = TorusLatticeApplicator(grid, spec, w, w, mode="fft")
         ref = TorusLatticeApplicator(grid, spec, w, w, mode="direct")
         u = np.zeros(k)
-        u[k // 2] = -2.0  # one deep spike underflows the shifted convolution
+        u[k // 2] = -2.0  # one deep spike: every other scaled weight underflows
+        return app, ref, u
+
+    def test_underflow_falls_back_to_exact_route(self):
+        # the spike sits on a node of weight 1e-100, so the far outputs of
+        # the exact sum fall below k * tiny / delta: a true underflow
+        app, ref, u = self._spike_instance(spike_weight=1e-100)
         out = app.softmin_to_target(u)
         assert app.fallbacks == 1
         assert np.array_equal(out, ref.softmin_to_target(u))
+
+    def test_deep_spike_repaired_without_fallback(self):
+        # on an ordinary weight the exact redo of the flagged outputs is
+        # representable, so the dense route is never entered
+        app, ref, u = self._spike_instance()
+        out = app.softmin_to_target(u)
+        assert app.fallbacks == 0 and app.repaired > 0
+        assert_allclose(out, ref.softmin_to_target(u), atol=1e-15, rtol=0.0)
 
     def test_underflow_past_the_cap_aborts(self, monkeypatch):
         rng = np.random.default_rng(11)
@@ -310,6 +347,80 @@ class TestLatticeApplicator:
         assert str(grid.size) in message and "DENSE_POINT_CAP" in message
         assert app.fallbacks == 0
 
+    def test_over_budget_redo_past_the_cap_aborts(self, monkeypatch):
+        # 8192 points: a potential of amplitude 0.01 flags thousands of
+        # outputs, and redoing F of them costs F * k > DENSE_POINT_CAP^2
+        grid = TorusGrid(1, 8192)
+        spec = TorusKernelSpec("gaussian", 8192)
+        w = np.full(grid.size, 1.0 / grid.size)
+        app = TorusLatticeApplicator(grid, spec, w, w, mode="fft")
+
+        def quadratic_route():
+            raise AssertionError("entered the quadratic route")
+
+        monkeypatch.setattr(app, "_build_dense", quadratic_route)
+        u = 0.01 * np.cos(2.0 * np.pi * grid.points().ravel())
+        with pytest.raises(NumericalAbortError, match="certification") as info:
+            app.softmin_to_target(u)
+        diag = info.value.diagnostics
+        assert diag["flagged"] * grid.k > DENSE_POINT_CAP**2
+        message = str(info.value)
+        for figure in (diag["flagged"], grid.size, DENSE_POINT_CAP):
+            assert str(figure) in message
+        assert app.fallbacks == 0 and app.repaired == 0
+
     def test_mode_guard(self):
         with pytest.raises(ValueError):
             _lattice_instance(8, 1, np.random.default_rng(0), "spectral")
+
+
+SMOOTH_F = "3*(1-cos(2*pi*x1))"
+SMOOTH_G = "3*(1-cos(2*pi*(x1-0.375)))"
+
+
+def _smooth_pair_steps(k, mode):
+    p = discretize_torus(SMOOTH_F, k, 1).weights
+    q = discretize_torus(SMOOTH_G, k, 1).weights
+    app = TorusLatticeApplicator(TorusGrid(1, k), TorusKernelSpec("gaussian", k), p, q,
+                                 mode=mode)
+    state = run_until(initial_state(app), app, tol=1e-9)
+    return state, app
+
+
+class TestCertifiedFFT:
+    """The 1-D fft route against the exact route where its output spans many decades."""
+
+    @pytest.mark.parametrize(
+        "k",
+        [128, 192, 256, 384,
+         pytest.param(512, marks=pytest.mark.slow),
+         pytest.param(1024, marks=pytest.mark.slow)],
+    )
+    def test_smooth_pair_reaches_tol_like_direct(self, k):
+        fast, app = _smooth_pair_steps(k, "fft")
+        exact, _ = _smooth_pair_steps(k, "direct")
+        assert exact.stop_reason == "tol"
+        assert fast.stop_reason == "tol"
+        assert fast.m <= 1.1 * exact.m
+        assert app.fallbacks == 0
+
+    @pytest.mark.parametrize("kind", ["gaussian", "heat"])
+    @pytest.mark.parametrize("k", [128, 384, 1024])
+    def test_apply_matches_direct(self, kind, k):
+        rng = np.random.default_rng(k)
+        grid = TorusGrid(1, k)
+        spec = TorusKernelSpec(kind, k)
+        p = rng.random(k) + 0.2
+        q = rng.random(k) + 0.2
+        p, q = p / p.sum(), q / q.sum()
+        fast = TorusLatticeApplicator(grid, spec, p, q, mode="fft")
+        exact = TorusLatticeApplicator(grid, spec, p, q, mode="direct")
+        x = grid.points().ravel()
+        for amp in (0.05, 0.2, 1.0):
+            for freq in (1, 3, 7):
+                u = amp * np.cos(2.0 * np.pi * freq * x + 6.0 * rng.random())
+                gap_t = fast.softmin_to_target(u) - exact.softmin_to_target(u)
+                gap_s = fast.softmin_to_source(u) - exact.softmin_to_source(u)
+                assert k * np.abs(gap_t).max() <= 1e-12
+                assert k * np.abs(gap_s).max() <= 1e-12
+        assert fast.fallbacks == 0

@@ -879,10 +879,9 @@ def _suite_sht(cfg):
 def _suite_bench(cfg):
     torus_sizes = cfg.get("torus_sizes", [2**e for e in range(10, 17)])
     sphere_ws = cfg.get("sphere_bandwidths", [16, 23, 32, 45, 64])
-    solve_ks = cfg.get("torus_solve_ks", [256, 1024])
     torus_pairs = bench_torus_apply(torus_sizes)
     sphere_pairs = bench_sphere_apply(sphere_ws)
-    torus_solves = bench_torus_solves(solve_ks)
+    torus_solves = bench_torus_solves([256, 1024])
     torus_slope = fit_loglog_slope(torus_pairs)
     sphere_slope = fit_loglog_slope(sphere_pairs)
     failures = []

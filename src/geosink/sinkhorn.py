@@ -430,11 +430,12 @@ class LinearDomainApplicator:
     takes it.
 
     What counts as an underflow is the subclass's call. The 1-D torus
-    route certifies each FFT output against the rounding scale
-    B = eps * sum(w) * max(profile): outputs at or below B / 1e-13 are
-    redone as exact positive sums, and only an output below k * tiny / 1e-13
-    after that raises. The 2-D and 3-D torus routes and the sphere's SHT
-    route raise on a nonpositive or non-finite output only.
+    route certifies each FFT output against the FFT's forward error bound
+    S = eps * log2(k) * ||w||_2 * sum(profile) (see geosink.torus): outputs
+    at or below S / 1e-13 are redone as exact positive sums, and only an
+    output below k * tiny / 1e-13 after that raises. The 2-D and 3-D torus
+    routes and the sphere's SHT route raise on a nonpositive or non-finite
+    output only.
     """
 
     fallbacks = 0

@@ -481,10 +481,10 @@ class TestDiagnose:
 
     def test_bench_suite_plumbing(self, tmp_path):
         # tiny sizes exercise the wiring only; the slope bands are asserted
-        # at real sizes by the acceptance suite
+        # at real sizes by the acceptance suite. The 1-D solves run at their
+        # fixed sizes, where the fft route redoes some outputs exactly.
         cfg = _cfg(tmp_path, {"torus_sizes": [256, 512],
-                              "sphere_bandwidths": [4, 6],
-                              "torus_solve_ks": [8, 16]})
+                              "sphere_bandwidths": [4, 6]})
         out = tmp_path / "d"
         rc = main(["diagnose", "bench", "--config", cfg, "--out", str(out)])
         assert rc in (0, 1)
@@ -493,11 +493,11 @@ class TestDiagnose:
         assert all(t > 0.0 for _, t in report["torus"] + report["sphere"])
         assert isinstance(report["torus_slope"], float)
         solves = report["torus_solves"]
-        assert [rec["k"] for rec in solves] == [8, 16]
+        assert [rec["k"] for rec in solves] == [256, 1024]
         for rec in solves:
             assert rec["stop_reason"] == "tol" and rec["steps"] > 0
             assert rec["fft_fallbacks"] == 0 and rec["seconds"] > 0.0
-            assert isinstance(rec["fft_repaired"], int)
+            assert rec["fft_repaired"] > 0
         assert not any("1-D fft solve" in line for line in report["failures"])
 
     def test_unknown_suite_rejected(self, tmp_path):

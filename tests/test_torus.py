@@ -20,6 +20,8 @@ from geosink.torus import (
     TorusGrid,
     TorusKernelSpec,
     TorusLatticeApplicator,
+    _fft_convolve,
+    _rfft,
     fft_apply,
     torus_cost,
     torus_cost_matrix,
@@ -148,6 +150,18 @@ class TestKernelSpec:
         # the 2-D heat kernel is the product of two 1-D spectral sums
         axis = [oracles.heat_spectral_sum(d, 0.25) for d in grid.axis]
         ref = np.log(np.outer(axis, axis)) - 2.0 * np.log(axis[0])
+        assert_allclose(prof, ref, atol=1e-13)
+
+    def test_long_time_heat_profile_factors(self):
+        # t = 0.3 needs 7 image shells per axis; the 3-D profile is the sum
+        # of three 1-D log spectral sums
+        grid = TorusGrid(3, 16)
+        spec = TorusKernelSpec("heat", 16, t=0.3)
+        assert spec.image_cutoff == 7
+        prof = spec.log_cost_profile(grid)
+        axis = np.log([oracles.heat_spectral_sum(d, 0.3) for d in grid.axis])
+        axis = axis - axis[0]
+        ref = axis[:, None, None] + axis[None, :, None] + axis[None, None, :]
         assert_allclose(prof, ref, atol=1e-13)
 
     def test_grid_mismatch_rejected(self):
@@ -405,7 +419,9 @@ class TestCertifiedFFT:
         assert app.fallbacks == 0
 
     @pytest.mark.parametrize("kind", ["gaussian", "heat"])
-    @pytest.mark.parametrize("k", [128, 384, 1024])
+    @pytest.mark.parametrize(
+        "k", [128, 384, 1024, pytest.param(4096, marks=pytest.mark.slow)]
+    )
     def test_apply_matches_direct(self, kind, k):
         rng = np.random.default_rng(k)
         grid = TorusGrid(1, k)
@@ -424,3 +440,40 @@ class TestCertifiedFFT:
                 assert k * np.abs(gap_t).max() <= 1e-12
                 assert k * np.abs(gap_s).max() <= 1e-12
         assert fast.fallbacks == 0
+
+    @pytest.mark.parametrize("kind", ["gaussian", "heat"])
+    @pytest.mark.parametrize("k", [16, 127, 1000, 4093, 4096])
+    def test_fft_error_within_certified_scale(self, kind, k):
+        # the certification cut assumes max_j |error_j| <= S with
+        # S = eps * log2(k) * ||w||_2 * sum(profile); check it against an
+        # extended-precision convolution on spikes, noise, a weight vector
+        # spanning hundreds of decades and scaled cosine potentials, at
+        # odd, prime and power-of-two sizes
+        rng = np.random.default_rng(k)
+        grid = TorusGrid(1, k)
+        profile = np.exp(TorusKernelSpec(kind, k).log_cost_profile(grid))
+        profile_hat = _rfft(profile)
+        x = grid.points().ravel()
+        spike = np.zeros(k)
+        spike[k // 3] = 1.0
+        inputs = [spike, rng.random(k), np.exp(-k * rng.random(k))]
+        for amp in (0.05, 1.0, 3.0):
+            u = amp * np.cos(2.0 * np.pi * 3 * x + 6.0 * rng.random())
+            inputs.append(np.exp(-k * (u - u.min())) * (rng.random(k) + 0.2) / k)
+        for w in inputs:
+            out = _fft_convolve(profile_hat, (k,), w)
+            scale = np.finfo(float).eps * np.log2(k) * np.sqrt(w @ w) * profile.sum()
+            assert np.abs(out - _extended_convolution(profile, w)).max() <= scale
+
+
+def _extended_convolution(profile, w):
+    """sum_i profile[(j - i) mod k] w_i in extended precision, rounded to float."""
+    k = profile.size
+    rev = profile[::-1]
+    rows = np.lib.stride_tricks.sliding_window_view(np.concatenate((rev, rev)), k)
+    wide = w.astype(np.longdouble)
+    out = np.empty(k)
+    for start in range(0, k, 256):
+        j = np.arange(start, min(k, start + 256))
+        out[j] = rows[k - 1 - j].astype(np.longdouble) @ wide
+    return out

@@ -172,11 +172,9 @@ _TORUS_SCHEMA = {
     "backend": "fft",
     "kernel": "gaussian",
     "t": None,
-    "images": 3,
     "tol": 1e-9,
     "A": 2.0,
     "m_max": None,
-    "seed": None,
 }
 
 
@@ -207,17 +205,15 @@ def _build_torus_applicator(cfg, renormalize):
     from .torus import TorusGrid, TorusKernelSpec, TorusLatticeApplicator, torus_log_kernel
 
     backend = cfg["backend"]
-    if backend not in ("direct", "fft", "heat"):
-        raise ConfigError(f"torus backend must be direct, fft or heat, got {backend!r}")
-    kind = "heat" if backend == "heat" or cfg["kernel"] == "heat" else "gaussian"
-    spec = TorusKernelSpec(kind=kind, k=cfg["k"], t=cfg["t"], images=cfg["images"])
+    if backend not in ("direct", "fft"):
+        raise ConfigError(f"torus backend must be direct or fft, got {backend!r}")
+    spec = TorusKernelSpec(kind=cfg["kernel"], k=cfg["k"], t=cfg["t"])
 
     xs, p, src_lattice = _torus_side(cfg, "source", renormalize)
     ys, q, tgt_lattice = _torus_side(cfg, "target", renormalize)
     if src_lattice and tgt_lattice:
         grid = TorusGrid(cfg["n"], cfg["k"])
-        mode = "direct" if backend == "direct" else "fft"
-        return TorusLatticeApplicator(grid, spec, p, q, mode=mode), xs, ys
+        return TorusLatticeApplicator(grid, spec, p, q, mode=backend), xs, ys
     if backend != "direct":
         raise ConfigError("point clouds run on the direct backend only")
     app = DenseApplicator.from_log_kernel(
@@ -284,7 +280,7 @@ def _run_transport(applicator, cfg, out, coord_header, xs, ys):
 
 @transport.command("torus")
 @click.option("--config", "config_path", required=True, type=click.Path())
-@click.option("--backend", type=click.Choice(["direct", "fft", "heat"]), default=None)
+@click.option("--backend", type=click.Choice(["direct", "fft"]), default=None)
 @click.option("--out", "out_path", default="out", type=click.Path())
 @click.option("--threads", type=int, default=None)
 @click.option("--renormalize", is_flag=True)
@@ -333,14 +329,14 @@ _SPHERE_SCHEMA = {
     "tol": 1e-9,
     "A": 2.0,
     "m_max": None,
-    "seed": None,
 }
 
 
 def _sphere_cloud_applicator(cfg, renormalize, W):
     from .measures import load_point_cloud
     from .sinkhorn import DenseApplicator
-    from .sphere import positive_heat_multipliers, sphere_embed, zonal_log_kernel
+    from .sphere import SphereKernelSpec, positive_heat_multipliers, sphere_embed
+    from .sphere import zonal_log_kernel
 
     sides = []
     for which in ("source", "target"):
@@ -355,8 +351,7 @@ def _sphere_cloud_applicator(cfg, renormalize, W):
         sides.append(m)
     src, tgt = sides
     k = cfg["k"]
-    t = cfg["t"] if cfg["t"] is not None else 2.0 / k
-    mult = positive_heat_multipliers(t, W)
+    mult = positive_heat_multipliers(SphereKernelSpec("heat", k, cfg["t"]).heat_time, W)
     a = sphere_embed(src.coords[:, 0], src.coords[:, 1])
     b = sphere_embed(tgt.coords[:, 0], tgt.coords[:, 1])
     app = DenseApplicator.from_log_kernel(
@@ -438,7 +433,6 @@ _ANTENNA_SCHEMA = {
     "tol": 1e-9,
     "A": 2.0,
     "m_max": None,
-    "seed": None,
 }
 
 
@@ -585,7 +579,6 @@ _PARABOLIC_SCHEMA = {
     "records": 10,
     "record_times": None,
     "normalize": True,
-    "seed": None,
 }
 
 

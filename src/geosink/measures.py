@@ -75,14 +75,13 @@ class DensityField:
     variables x1..xn, sphere expressions use phi and theta.
     """
 
-    def __init__(self, chart, evaluator, source=None, smoothness=None):
+    def __init__(self, chart, evaluator, source=None):
         self.chart = chart
         self._evaluator = evaluator
         self.source = source
-        self.smoothness = smoothness
 
     @classmethod
-    def torus_expression(cls, text, n, smoothness=None):
+    def torus_expression(cls, text, n):
         names = [f"x{i + 1}" for i in range(n)]
         expr = parse_expression(text, names)
 
@@ -93,10 +92,10 @@ class DensityField:
                 np.asarray(expr(env), dtype=float), (coords.shape[0],)
             ).copy()
 
-        return cls("torus", evaluate, source=text, smoothness=smoothness)
+        return cls("torus", evaluate, source=text)
 
     @classmethod
-    def sphere_expression(cls, text, smoothness=None):
+    def sphere_expression(cls, text):
         expr = parse_expression(text, ["phi", "theta"])
 
         def evaluate(coords):
@@ -106,7 +105,7 @@ class DensityField:
                 np.asarray(expr(env), dtype=float), (coords.shape[0],)
             ).copy()
 
-        return cls("sphere", evaluate, source=text, smoothness=smoothness)
+        return cls("sphere", evaluate, source=text)
 
     @classmethod
     def constant(cls, chart, value=0.0):

@@ -13,7 +13,7 @@ to apply the kernel. The backend contract is structural; any object with
 works. DenseApplicator below is the one exact log-domain backend; each
 manifold only builds its log-kernel matrix. The fast routes (torus FFT,
 sphere SHT) derive from LinearDomainApplicator, which redoes an
-application that underflows on a lazily built DenseApplicator.
+application whose output it cannot trust on a lazily built DenseApplicator.
 
 One step maps u_m to u_{m+1} = u[v_{m+1}] with v_{m+1} = v[u_m]. Because
 the u-update runs last, the source marginal of the induced plan is exact
@@ -82,15 +82,6 @@ class Potential:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-
-    def normalized(self):
-        """Same potential shifted so values[base_index] = 0."""
-        return Potential(
-            self.values - self.values[self.base_index], self.k, self.base_index
-        )
-
-    def copy(self):
-        return Potential(self.values.copy(), self.k, self.base_index)
 
 
 @dataclass
@@ -419,27 +410,23 @@ class DenseApplicator:
 class LinearDomainApplicator:
     """Core of the fast routes (torus FFT, sphere SHT).
 
-    Subclasses set mode and supply _linear_apply (the kernel on a
-    positive vector, raising FloatingPointError on an output it cannot
-    vouch for) and _build_dense (the same kernel as a DenseApplicator). An
-    application shifts by the minimum of the potential, so the largest
-    scaled weight is exactly 1, applies the kernel in the linear domain and
-    takes the log back. An underflow redoes it on the dense route, built on
-    first use and counted in .fallbacks; past DENSE_POINT_CAP points, where
-    that route is quadratic, the run aborts instead. mode "direct" always
-    takes it.
-
-    What counts as an underflow is the subclass's call. The 1-D torus
-    route certifies each FFT output against the FFT's forward error bound
-    S = eps * log2(k) * ||w||_2 * sum(profile) (see geosink.torus): outputs
-    at or below S / 1e-13 are redone as exact positive sums, and only an
-    output below k * tiny / 1e-13 after that raises. The 2-D and 3-D torus
-    routes and the sphere's SHT route raise on a nonpositive or non-finite
-    output only.
+    Subclasses set mode and supply _linear_apply(w), the kernel on a
+    positive vector returning (output, its minimum), and _build_dense, the
+    same kernel as a DenseApplicator. An application shifts by the minimum
+    of the potential, so the largest scaled weight is exactly 1, applies
+    the kernel in the linear domain and takes the log back, but only when
+    the output's minimum exceeds the route's _floor (NaN never does):
+    this is the one trust check of the fast routes. The floor is 0, or
+    k * tiny / 1e-13 on the certified 1-D torus route (see geosink.torus).
+    An untrusted application is redone on the dense route, built on first
+    use and counted in .fallbacks; past DENSE_POINT_CAP points, where that
+    route is quadratic, the run aborts instead. mode "direct" always takes
+    it.
     """
 
     fallbacks = 0
     _dense = None
+    _floor = 0.0
 
     def __init__(self, k, p, q):
         self.k = float(k)
@@ -457,22 +444,20 @@ class LinearDomainApplicator:
         if self.mode != "direct":
             shift = values.min()
             w = np.exp(-self.k * (values - shift) + log_weights)
-            try:
-                out = self._linear_apply(w)
-            except FloatingPointError:
-                if self.size > DENSE_POINT_CAP:
-                    raise NumericalAbortError(
-                        f"linear-domain kernel application underflowed double "
-                        f"precision on {self.size} points, and the exact "
-                        f"log-domain fallback is capped at "
-                        f"DENSE_POINT_CAP={DENSE_POINT_CAP} points",
-                        {"stage": "linear-domain apply", "points": self.size,
-                         "dense_point_cap": DENSE_POINT_CAP,
-                         "fallbacks": self.fallbacks},
-                    ) from None
-                self.fallbacks += 1
-            else:
+            out, lo = self._linear_apply(w)
+            if lo > self._floor:
                 return np.log(out) / self.k - shift
+            if self.size > DENSE_POINT_CAP:
+                raise NumericalAbortError(
+                    f"linear-domain kernel application underflowed double "
+                    f"precision on {self.size} points, and the exact "
+                    f"log-domain fallback is capped at "
+                    f"DENSE_POINT_CAP={DENSE_POINT_CAP} points",
+                    {"stage": "linear-domain apply", "points": self.size,
+                     "dense_point_cap": DENSE_POINT_CAP,
+                     "fallbacks": self.fallbacks},
+                )
+            self.fallbacks += 1
         if self._dense is None:
             self._dense = self._build_dense()
         if to_target:

@@ -63,6 +63,8 @@ __all__ = [
     "SphereSHTApplicator",
 ]
 
+MAX_BANDWIDTH = 128
+
 
 def assoc_legendre(l, m, x):
     """Associated Legendre function P_l^m (Ferrers, Condon-Shortley phase).
@@ -138,7 +140,7 @@ class SphericalGrid:
     def __init__(self, W):
         if W < 1:
             raise ValueError(f"bandwidth must be >= 1, got {W}")
-        if W > 128:
+        if W > MAX_BANDWIDTH:
             raise ValueError(f"bandwidth {W} is out of the supported range (<= 128)")
         self.W = int(W)
         self.n_theta = 2 * (self.W + 1)
@@ -315,13 +317,19 @@ def heat_multipliers(t, W):
 
 
 def positive_heat_multipliers(t, W):
-    """heat_multipliers(t, W), refused when the truncated kernel is not positive."""
+    """heat_multipliers(t, W), refused when the truncated kernel is not positive.
+
+    The refusal names the smallest larger W that makes it positive, if any.
+    """
     mult = heat_multipliers(t, W)
-    if zonal_profile_min(mult) <= 0.0:
-        raise ValueError(
-            f"truncated heat kernel is not positive at t={t:g}, W={W}; raise t or W"
-        )
-    return mult
+    if zonal_profile_min(mult) > 0.0:
+        return mult
+    advice = f"raise t (no bandwidth W <= {MAX_BANDWIDTH} makes it positive)"
+    for wider in range(W + 1, MAX_BANDWIDTH + 1):
+        if zonal_profile_min(heat_multipliers(t, wider)) > 0.0:
+            advice = f"raise W to {wider}"
+            break
+    raise ValueError(f"truncated heat kernel is not positive at t={t:g}, W={W}; {advice}")
 
 
 def bandlimited_heat_matrix(grid, t, W=None):
@@ -495,7 +503,6 @@ class SphereKernelSpec:
     kind: str
     k: int
     t: float | None = None
-    degree: int | None = None
 
     def __post_init__(self):
         if self.kind not in ("heat", "antenna"):
@@ -512,9 +519,8 @@ class SphereKernelSpec:
     def multipliers(self, grid):
         """Per-degree multipliers; a heat kernel must also be positive."""
         if self.kind == "heat":
-            W = grid.W if self.degree is None else self.degree
-            return positive_heat_multipliers(self.heat_time, W)
-        return antenna_multipliers(self.k, self.degree)
+            return positive_heat_multipliers(self.heat_time, grid.W)
+        return antenna_multipliers(self.k)
 
 
 def _grid_multipliers(grid, spec, p, q):
@@ -564,8 +570,8 @@ class SphereSHTApplicator(LinearDomainApplicator):
     """Accelerated linear-domain softmin through the harmonic expansion.
 
     Each application applies the zonal kernel in O(W^3) in the linear
-    domain (see LinearDomainApplicator for the shift, the fallback to
-    SphereDenseApplicator on underflow, counted in .fallbacks, and the
+    domain (see LinearDomainApplicator for the shift, the trust check, the
+    fallback to SphereDenseApplicator, counted in .fallbacks, and the
     abort past DENSE_POINT_CAP nodes).
     """
 
@@ -579,9 +585,7 @@ class SphereSHTApplicator(LinearDomainApplicator):
 
     def _linear_apply(self, w):
         out = _apply_zonal(self.grid, w, self._mult)
-        if not np.all(np.isfinite(out)) or np.any(out <= 0.0):
-            raise FloatingPointError("sht kernel application produced nonpositive values")
-        return out
+        return out, out.min()
 
     def _build_dense(self):
         return SphereDenseApplicator(self.grid, self.spec, self.p, self.q)

@@ -29,17 +29,17 @@ up to k = 4096). An output above S / delta (delta = 1e-13) is then
 accurate to c * delta relative. Every other output, including a
 nonpositive one, is redone as the exact positive sum
 sum_i profile[(j - i) mod k] w_i, which has no cancellation, and counted
-in .repaired. An output that still lies below k * tiny / delta after
-that has truly underflowed; the application is then redone on the dense
-route (counted in .fallbacks), or aborts with NumericalAbortError past
-DENSE_POINT_CAP points. Past the cap a redo that costs more than one
-dense application at the cap (flagged outputs * k > DENSE_POINT_CAP^2)
-aborts too. The bound is pessimistic for spread-out w: a flat output
-fails it once eps * log2(k) * sqrt(k) > delta, from about k = 1750. From
-there on most outputs are redone, an application costs about one dense
-product, and past the cap the route aborts on nearly every input. The
-2-D and 3-D routes are not certified: they fall back on a nonpositive
-output only.
+in .repaired. LinearDomainApplicator then trusts the output only above
+the floor k * tiny / delta (0 on the uncertified 2-D and 3-D routes);
+below it the output has truly underflowed and the application is redone
+on the dense route (counted in .fallbacks), or aborts with
+NumericalAbortError past DENSE_POINT_CAP points. Past the cap a redo that
+costs more than one dense application at the cap (flagged outputs * k >
+DENSE_POINT_CAP^2) aborts too. The bound is pessimistic for spread-out
+w: a flat output fails it once eps * log2(k) * sqrt(k) > delta, from
+about k = 1750. From there on most outputs are redone, an application
+costs about one dense product, and past the cap the route aborts on
+nearly every input.
 
 Kernels: the Gaussian profile exp(-k c) for sharpness k, or the periodized
 heat kernel at time t (an image sum over integer shifts of the displacement
@@ -88,7 +88,7 @@ _REDO_BLOCK = 1 << 17
 
 
 class FFTUnderflowError(FloatingPointError):
-    """FFT convolution produced a nonpositive or non-finite value."""
+    """FFT convolution produced a nonpositive or NaN value."""
 
 
 @dataclass(frozen=True)
@@ -215,6 +215,9 @@ def _log_axis_images(d, t, images):
     return top + np.log(total)
 
 
+MIN_IMAGE_SHELLS = 3  # fewest image shells the lattice and cloud heat kernels sum
+
+
 @dataclass(frozen=True)
 class TorusKernelSpec:
     """Kernel choice for a torus instance.
@@ -229,7 +232,6 @@ class TorusKernelSpec:
     kind: str
     k: int
     t: float | None = None
-    images: int = 3
 
     def __post_init__(self):
         if self.kind not in ("gaussian", "heat"):
@@ -252,11 +254,11 @@ class TorusKernelSpec:
         """Image shells summed for a displacement in [-1/2, 1/2).
 
         Every neglected image lies at least M + 1/2 away, so its term is
-        below eps relative once M >= sqrt(4 t ln(1/eps)) - 1/2; images is
-        the floor, raised only when t needs it.
+        below eps relative once M >= sqrt(4 t ln(1/eps)) - 1/2;
+        MIN_IMAGE_SHELLS is the floor, raised only when t needs it.
         """
         need = math.ceil(math.sqrt(4.0 * self.heat_time * math.log(1.0 / _EPS)) - 0.5)
-        return max(self.images, need)
+        return max(MIN_IMAGE_SHELLS, need)
 
     def log_cost_profile(self, grid):
         """-k * cost on the displacement lattice, shape (k,)*n.
@@ -275,10 +277,6 @@ class TorusKernelSpec:
                                     grid.n)
         origin = (0,) * grid.n
         return log_k - log_k[origin]
-
-    def cost_profile(self, grid):
-        """Effective cost on the displacement lattice: -log(profile)/k."""
-        return -self.log_cost_profile(grid) / self.k
 
 
 def torus_log_kernel(xs, ys, spec):
@@ -346,13 +344,13 @@ def fft_apply(profile, vec):
 
     profile has shape (k,)*n, vec is flat of length k^n in lexicographic
     order. Raises FFTUnderflowError when the result has a nonpositive or
-    non-finite entry, so the caller can fall back to the exact route.
+    NaN entry.
     """
-    if profile.ndim == 1:
-        profile_hat = _rfft(profile)
-    else:
-        profile_hat = np.fft.rfftn(profile)
-    return _fft_apply_hat(profile_hat, profile.shape, vec)
+    profile_hat = _rfft(profile) if profile.ndim == 1 else np.fft.rfftn(profile)
+    out = _fft_convolve(profile_hat, profile.shape, vec)
+    if not out.min() > 0.0:  # catches nonpositive values and NaN in one pass
+        raise FFTUnderflowError("fft kernel application produced nonpositive values")
+    return out
 
 
 def _fft_convolve(profile_hat, shape, vec):
@@ -365,22 +363,13 @@ def _fft_convolve(profile_hat, shape, vec):
     ).ravel()
 
 
-def _fft_apply_hat(profile_hat, shape, vec):
-    out = _fft_convolve(profile_hat, shape, vec)
-    lo = out.min()
-    if not lo > 0.0:  # catches nonpositive values and NaN in one pass
-        raise FFTUnderflowError(
-            "fft kernel application produced nonpositive values"
-        )
-    return out
-
 
 class TorusLatticeApplicator(LinearDomainApplicator):
     """Kernel application on the common lattice, direct or FFT mode.
 
     mode "direct" always takes the exact log-domain route. mode "fft"
     convolves in the linear domain by FFT (see LinearDomainApplicator for
-    the shift, the fallback to the exact route on underflow, counted in
+    the shift, the trust check, the fallback to the exact route, counted in
     .fallbacks, and the abort past DENSE_POINT_CAP points). On the 1-D
     lattice every FFT output is certified against the FFT's error bound
     for its input, and the outputs that fail are redone as exact positive
@@ -418,19 +407,14 @@ class TorusLatticeApplicator(LinearDomainApplicator):
                 self._floor = grid.k * np.finfo(float).tiny / CERTIFY_DELTA
 
     def _linear_apply(self, w):
-        if self.grid.n != 1:
-            return _fft_apply_hat(self._profile_hat, self.grid.shape, w)
         out = _fft_convolve(self._profile_hat, self.grid.shape, w)
-        cut = self._cut_scale * math.sqrt(w @ w)
         lo = out.min()
-        if not lo > cut:  # also catches NaN
-            self._redo_exact(out, w, np.flatnonzero(~(out > cut)))
-            lo = out.min()
-        if not lo >= self._floor:
-            raise FFTUnderflowError(
-                "fft kernel application underflowed after the exact redo"
-            )
-        return out
+        if self.grid.n == 1:
+            cut = self._cut_scale * math.sqrt(w @ w)
+            if not lo > cut:  # also catches NaN
+                self._redo_exact(out, w, np.flatnonzero(~(out > cut)))
+                lo = out.min()
+        return out, lo
 
     def _redo_exact(self, out, w, flagged):
         """out[j] = sum_i profile[(j - i) mod k] w_i for each flagged j, in place."""

@@ -264,6 +264,11 @@ class TestTorusConfigErrors:
                    "--out", str(tmp_path / "o")])
         assert rc == 2
 
+    def test_unknown_kernel(self, tmp_path):
+        assert self._rc(
+            tmp_path, {"manifold": "torus", "k": 8, "f": "0", "g": "0", "kernel": "heet"}
+        ) == 2
+
     def test_bad_backend_flag(self, tmp_path):
         cfg = _cfg(tmp_path, {"manifold": "torus", "k": 8, "f": "0", "g": "0"})
         rc = main(["transport", "torus", "--config", cfg, "--backend", "warp",
@@ -275,6 +280,38 @@ class TestTorusConfigErrors:
         rc = main(["transport", "torus", "--config", cfg, "--threads", "0",
                    "--out", str(tmp_path / "o")])
         assert rc == 2
+
+
+class TestRemovedOptions:
+    """Keys and values that nothing read are rejected, not silently accepted."""
+
+    @pytest.mark.parametrize(
+        "command, payload",
+        [(["transport", "torus"], {"manifold": "torus", "k": 8, "f": "0", "g": "0"}),
+         (["transport", "sphere"], {"manifold": "sphere", "k": 4, "f": "0", "g": "0"}),
+         (["antenna"], {"k": 4, "f": "0", "g": "0"}),
+         (["parabolic"], {"k_grid": 16, "f": "0", "g": "0", "T": 0.01})],
+    )
+    def test_seed_key_rejected(self, tmp_path, capsys, command, payload):
+        cfg = _cfg(tmp_path, {**payload, "seed": 0})
+        assert main(command + ["--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "'seed'" in capsys.readouterr().err
+
+    def test_torus_images_key_rejected(self, tmp_path, capsys):
+        cfg = _cfg(tmp_path, {"manifold": "torus", "k": 8, "f": "0", "g": "0",
+                              "kernel": "heat", "images": 5})
+        rc = main(["transport", "torus", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "'images'" in capsys.readouterr().err
+
+    def test_torus_heat_backend_rejected(self, tmp_path):
+        base = {"manifold": "torus", "k": 8, "f": "0", "g": "0"}
+        cfg = _cfg(tmp_path, base)
+        assert main(["transport", "torus", "--config", cfg, "--backend", "heat",
+                     "--out", str(tmp_path / "o")]) == 2
+        cfg = _cfg(tmp_path, {**base, "backend": "heat"}, name="heat.json")
+        assert main(["transport", "torus", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 2
 
 
 class TestTransportSphere:

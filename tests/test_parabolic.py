@@ -244,6 +244,17 @@ class TestSolveParabolic:
                 dt=grid.spacing,
             )
 
+    def test_default_dt_is_stable_in_two_dimensions(self):
+        # at 0.2 dx^2 (the 1-D default) this pair loses det(I + H) > 0 by
+        # t = 0.08; the default 0.2 dx^2 / n = 0.1 dx^2 reaches T
+        grid = TorusGrid(2, 32)
+        f = "0.3*(1-cos(2*pi*x1)) + 0.2*(1-cos(2*pi*x2))"
+        g = "0.3*(1-cos(2*pi*(x1-0.25))) + 0.2*(1-cos(2*pi*(x2-0.5)))"
+        final = solve_parabolic(np.zeros(grid.size), f, g, 0.1, grid)[-1]
+        assert final.dt == pytest.approx(0.1 * grid.spacing**2, rel=1e-15)
+        assert final.t == pytest.approx(0.1, abs=1e-12)
+        assert final.min_eig > 0.5
+
     @pytest.mark.slow
     def test_long_run_settles_to_small_residual(self):
         grid = TorusGrid(1, 32)

@@ -390,6 +390,21 @@ class TestSphereApplicators:
         with pytest.raises(ValueError, match="not positive"):
             SphereSHTApplicator(grid, spec, grid.node_weights, grid.node_weights)
 
+    @pytest.mark.parametrize(
+        "k, t, W, advice",
+        [(34, None, 68, "raise t (no bandwidth W <= 128 makes it positive)"),
+         (10, 0.2, 2, "raise W to 6")],
+        ids=["cli-defaults", "truncation"],
+    )
+    def test_heat_positivity_advice(self, k, t, W, advice):
+        # at the CLI defaults past k = 33 the profile minimum is rounding
+        # error that no bandwidth removes; at t = 0.2, W = 2 it is truncation
+        grid = SphericalGrid(W)
+        spec = SphereKernelSpec("heat", k, t=t)
+        with pytest.raises(ValueError, match="not positive") as info:
+            SphereSHTApplicator(grid, spec, grid.node_weights, grid.node_weights)
+        assert str(info.value).endswith(advice)
+
     def test_antenna_spec_roundtrip(self, rng):
         grid = SphericalGrid(8)
         spec = SphereKernelSpec("antenna", 4)

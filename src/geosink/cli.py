@@ -739,36 +739,85 @@ def bench_torus_solves(ks, tol=1e-9):
 
 
 def bench_sphere_apply(bandwidths, reps=5, inner=2):
-    """Per-application seconds of the SHT backend at each bandwidth (min over reps)."""
+    """Per-application seconds of the SHT backend at each bandwidth.
+
+    Each rep times `inner` applies per bandwidth; the bandwidths are swept
+    round-robin and each keeps its minimum over reps, as in
+    bench_torus_apply, so a slow phase of the machine does not land on
+    one size alone.
+    """
     import gc
 
     import numpy as np
 
     from .sphere import SphereKernelSpec, SphereSHTApplicator, SphericalGrid
 
-    results = []
+    setups = []
+    for W in bandwidths:
+        grid = SphericalGrid(W)
+        spec = SphereKernelSpec("heat", k=max(2, W // 2))
+        p = grid.node_weights.copy()
+        app = SphereSHTApplicator(grid, spec, p, p)
+        u = np.zeros(grid.size)
+        app.softmin_to_target(u)
+        setups.append((grid.size, app, u))
+    best = [np.inf] * len(setups)
     was_enabled = gc.isenabled()
     gc.collect()
     gc.disable()
     try:
-        for W in bandwidths:
-            grid = SphericalGrid(W)
-            spec = SphereKernelSpec("heat", k=max(2, W // 2))
-            p = grid.node_weights.copy()
-            app = SphereSHTApplicator(grid, spec, p, p)
-            u = np.zeros(grid.size)
-            app.softmin_to_target(u)
-            times = []
-            for _ in range(reps):
+        for _ in range(reps):
+            for i, (_, app, u) in enumerate(setups):
                 t0 = time.perf_counter()
                 for _ in range(inner):
                     app.softmin_to_target(u)
-                times.append((time.perf_counter() - t0) / inner)
-            results.append((grid.size, float(np.min(times))))
+                best[i] = min(best[i], (time.perf_counter() - t0) / inner)
     finally:
         if was_enabled:
             gc.enable()
-    return results
+    return [(n, float(t)) for (n, _, _), t in zip(setups, best)]
+
+
+def bench_parabolic_steps(steps=300, reps=3):
+    """Microseconds per explicit Euler step of solve_parabolic.
+
+    Two sizes: 1-D N=256 at the default dt and 2-D 64x64 at dt = 0.1 dx^2,
+    with shifted cosine wells as forcing. Each rep runs the flow
+    for `steps` steps and for none; the difference of the two minima over
+    reps, per step, leaves out sampling, prefilter and the checks at the
+    start and the end.
+    """
+    import numpy as np
+
+    from .parabolic import solve_parabolic
+    from .torus import TorusGrid
+
+    def well(a, axis, shift):
+        return f"{a}*(1-cos(2*pi*(x{axis}-{shift})))"
+
+    cases = (
+        (1, 256, well(0.3, 1, 0), well(0.3, 1, 0.25), None),
+        (2, 64, f"{well(0.3, 1, 0)} + {well(0.2, 2, 0)}",
+         f"{well(0.3, 1, 0.25)} + {well(0.2, 2, 0.5)}", 0.1 / 64**2),
+    )
+    records = []
+    for n, N, f, g, dt in cases:
+        grid = TorusGrid(n, N)
+        u0 = np.zeros(grid.size)
+        dt_run = solve_parabolic(u0, f, g, 0.0, grid, dt=dt)[-1].dt
+        best = {0: np.inf, steps: np.inf}
+        for _ in range(reps):
+            for count in best:
+                t0 = time.perf_counter()
+                solve_parabolic(u0, f, g, count * dt_run, grid, dt=dt)
+                best[count] = min(best[count], time.perf_counter() - t0)
+        records.append({
+            "n": n,
+            "N": N,
+            "steps": steps,
+            "us_per_step": 1e6 * (best[steps] - best[0]) / steps,
+        })
+    return records
 
 
 def fit_loglog_slope(pairs):
@@ -875,6 +924,7 @@ def _suite_bench(cfg):
     torus_pairs = bench_torus_apply(torus_sizes)
     sphere_pairs = bench_sphere_apply(sphere_ws)
     torus_solves = bench_torus_solves([256, 1024])
+    parabolic_steps = bench_parabolic_steps()
     torus_slope = fit_loglog_slope(torus_pairs)
     sphere_slope = fit_loglog_slope(sphere_pairs)
     failures = []
@@ -892,6 +942,7 @@ def _suite_bench(cfg):
         "torus": torus_pairs,
         "sphere": sphere_pairs,
         "torus_solves": torus_solves,
+        "parabolic_steps": parabolic_steps,
         "torus_slope": torus_slope,
         "sphere_slope": sphere_slope,
         "failures": failures,

@@ -33,6 +33,14 @@ from scipy.ndimage import map_coordinates, spline_filter
 from .sinkhorn import NumericalAbortError
 from .torus import TorusGrid
 
+try:  # the compiled routine behind map_coordinates, minus its wrapper
+    from scipy.ndimage._nd_image import geometric_transform as _geometric_transform
+    from scipy.ndimage._ni_support import _extend_mode_to_code
+
+    _GRID_WRAP = _extend_mode_to_code("grid-wrap")
+except ImportError:
+    _geometric_transform = None
+
 __all__ = [
     "ParabolicState",
     "c_transform",
@@ -99,6 +107,14 @@ def _periodic_pad(u):
     return ext
 
 
+def _rewrap(ext):
+    """Refill the wrapped layer of a _periodic_pad copy from its interior."""
+    for a in range(ext.ndim):
+        lead = (slice(None),) * a
+        ext[lead + (0,)] = ext[lead + (-2,)]
+        ext[lead + (-1,)] = ext[lead + (1,)]
+
+
 @lru_cache(maxsize=None)
 def _window(*offsets):
     """Index of u at node + offsets (periodic) into _periodic_pad(u)."""
@@ -135,10 +151,6 @@ def _mixed_difference(ext, dx):
     ) / (4.0 * dx * dx)
 
 
-def _gradient(u, ext, dx):
-    return [(ext[fwd] - ext[bwd]) / (2.0 * dx) for fwd, bwd in _axis_windows(u.ndim)]
-
-
 def _min_hessian_eig(u, dx):
     """Smallest eigenvalue over nodes of I + discrete Hessian; n <= 2."""
     ext = _periodic_pad(u)
@@ -164,20 +176,79 @@ def check_quasiconvex(u, grid=None):
     return {"min_eig": min_eig, "ok": bool(min_eig > 0.0)}
 
 
-def _log_det(u, ext, dx):
-    """log det(I + H(u)); raises when the determinant is not positive."""
-    seconds = _second_differences(u, ext, dx)
-    if u.ndim == 1:
-        det = 1.0 + seconds[0]
-    else:
-        b = _mixed_difference(ext, dx)
-        det = (1.0 + seconds[0]) * (1.0 + seconds[1]) - b * b
-    if not det.min() > 0.0 or not np.isfinite(det.max()):
-        raise NumericalAbortError(
-            "det(I + H) lost positivity",
-            {"min_det": float(det.min()), "t_context": "parabolic step"},
-        )
-    return np.log(det)
+class _SplineTaps:
+    """A 2-D periodic cubic spline evaluated at moving points.
+
+    Computes map_coordinates(coeffs, coords, order=3, mode="grid-wrap",
+    prefilter=False) the way its compiled loop does: each coordinate is
+    wrapped into the period, its cell is the floor, the four B-spline
+    weights per axis come from the same closed form, and the sixteen taps
+    are summed as (c * w0) * w1 in the same order. The results agree
+    bitwise in the tests.
+
+    Each point keeps its cell and the 4x4 patch of coefficients around it
+    (indices mod N, so any displacement works). A call recomputes the
+    weights and contracts them with the patches, and re-gathers only the
+    points whose cell changed: along a flow most steps move a few points,
+    but most steps move at least one, so the whole pattern cannot be kept.
+    """
+
+    _TAPS = np.arange(-1, 3)
+    _GATHER_BLOCK = 512
+
+    def __init__(self, coeffs):
+        self.coeffs = coeffs
+        size = coeffs.size
+        self.period = np.array(coeffs.shape, dtype=float)[:, None]
+        self.cells = np.full((2, size), np.nan)
+        self.patches = np.empty((4, 4, size))
+        self._lo = np.empty((2, size))
+        self._yz = np.empty((2, 2, size))
+        self._weights = np.empty((2, 4, size))
+
+    def __call__(self, coords, out):
+        """Spline values at coords (2, size) into out (size,)."""
+        lo, yz, w = self._lo, self._yz, self._weights
+        y, z = yz[:, 0], yz[:, 1]
+        # wrap as map_coordinates does: x - N floor(x / N) is x itself on
+        # [0, N) and map_coordinates' wrapped value elsewhere, but where
+        # x / N rounds to an integer, which may land a period away
+        np.divide(coords, self.period, out=lo)
+        np.floor(lo, out=lo)
+        np.multiply(lo, self.period, out=lo)
+        np.subtract(coords, lo, out=y)
+        np.floor(y, out=lo)
+        np.subtract(y, lo, out=y)
+        np.subtract(1.0, y, out=z)
+        # weights 1 and 2 are (s^2 (s - 2) 3 + 4) / 6 at s = y and s = 1 - y,
+        # weight 0 is (1 - y)^3 / 6, and weight 3 closes the sum to one;
+        # the squares wait in the slots of weights 3 and 0
+        np.multiply(y, y, out=w[:, 3])
+        np.multiply(z, z, out=w[:, 0])
+        np.subtract(yz, 2.0, out=w[:, 1:3])
+        np.multiply(w[:, 3], w[:, 1], out=w[:, 1])
+        np.multiply(w[:, 0], w[:, 2], out=w[:, 2])
+        np.multiply(w[:, 1:3], 3.0, out=w[:, 1:3])
+        np.add(w[:, 1:3], 4.0, out=w[:, 1:3])
+        np.divide(w[:, 1:3], 6.0, out=w[:, 1:3])
+        np.multiply(w[:, 0], z, out=w[:, 0])
+        np.divide(w[:, 0], 6.0, out=w[:, 0])
+        np.subtract(1.0, w[:, 0], out=w[:, 3])
+        np.subtract(w[:, 3], w[:, 1], out=w[:, 3])
+        np.subtract(w[:, 3], w[:, 2], out=w[:, 3])
+
+        moved = np.flatnonzero((lo != self.cells).any(axis=0))
+        n0, n1 = self.coeffs.shape
+        # in blocks, so that a first call, which moves every point, needs
+        # no gather temporaries as large as the patches
+        for start in range(0, moved.size, self._GATHER_BLOCK):
+            block = moved[start : start + self._GATHER_BLOCK]
+            self.cells[:, block] = lo[:, block]
+            cell = lo[:, block].astype(np.intp)
+            rows = (cell[0] + self._TAPS[:, None]) % n0
+            cols = (cell[1] + self._TAPS[:, None]) % n1
+            self.patches[:, :, block] = self.coeffs[rows[:, None, :], cols[None, :, :]]
+        return np.einsum("ijm,im,jm->m", self.patches, w[0], w[1], out=out)
 
 
 class _Forcing:
@@ -199,20 +270,27 @@ class _Forcing:
             g_vals = g_vals + np.log(np.mean(np.exp(-g_vals)))
         self.g_coeffs = spline_filter(g_vals, order=3, mode="grid-wrap")
         self.nodes = np.indices(grid.shape, dtype=float)
+        self._evaluated = False
+        self._taps = None
 
-    def g_at_displaced(self, u, ext, dx):
-        grads = _gradient(u, ext, dx)
-        coords = np.empty((u.ndim,) + u.shape)
-        for a, grad in enumerate(grads):
-            np.add(self.nodes[a], grad / dx, out=coords[a])
-        return map_coordinates(
-            self.g_coeffs,
-            coords.reshape(u.ndim, -1),
-            output=np.empty(u.size),
-            order=3,
-            mode="grid-wrap",
-            prefilter=False,
-        ).reshape(u.shape)
+    def g_at(self, coords, out):
+        """g's spline at coords (n, size), in grid units, into out (size,).
+
+        A 2-D forcing evaluated again, as along a flow, builds a tap cache
+        (_SplineTaps) on its second call; a one-off evaluation, as in
+        ma_residual, and every 1-D one calls the spline routine directly.
+        """
+        if self._taps is None and self.grid.n == 2 and self._evaluated:
+            self._taps = _SplineTaps(self.g_coeffs)
+        if self._taps is not None:
+            return self._taps(coords, out)
+        self._evaluated = True
+        if _geometric_transform is None:
+            return map_coordinates(self.g_coeffs, coords, output=out, order=3,
+                                   mode="grid-wrap", prefilter=False)
+        _geometric_transform(self.g_coeffs, None, coords, None, None, out, 3,
+                             _GRID_WRAP, 0.0, 0, None, None)
+        return out
 
 
 def _sample_exponent(f, grid):
@@ -227,10 +305,89 @@ def _sample_exponent(f, grid):
     return np.asarray(f(grid.points()), dtype=float).reshape(grid.shape)
 
 
-def _step_values(u, forcing, dx, dt):
-    ext = _periodic_pad(u)
-    rhs = _log_det(u, ext, dx) - forcing.g_at_displaced(u, ext, dx) + forcing.f_vals
-    return u + dt * rhs
+class _Stepper:
+    """The explicit Euler step, fused onto preallocated buffers.
+
+    u lives inside a _periodic_pad copy, so every neighbour the stencils
+    read is a fixed view of that copy and a step rewrites only the
+    interior and the wrapped layer. The right-hand side runs the same
+    array operations as the plain expressions
+
+        det = (1 + u_xx)(1 + u_yy) - u_xy^2  (1 + u_xx in 1-D)
+        rhs = log det - g(x + grad u) + f,   u <- u + dt rhs
+
+    in the same order, each into a buffer, so a step gives the bits of
+    those expressions.
+    """
+
+    def __init__(self, forcing, u, dx):
+        if u.ndim not in (1, 2):
+            raise ValueError("the parabolic solver supports n in {1, 2}")
+        self.forcing = forcing
+        self.dx = dx
+        self.ext = _periodic_pad(np.asarray(u, dtype=float))
+        self.u = self.ext[_window(*(0,) * u.ndim)]
+        self._neighbours = [(self.ext[f], self.ext[b]) for f, b in _axis_windows(u.ndim)]
+        self._corners = [self.ext[_window(*o)] for o in ((1, 1), (1, -1), (-1, 1), (-1, -1))
+                         ] if u.ndim == 2 else None
+        self._diag = np.empty((u.ndim,) + u.shape)
+        self._coords = np.empty((u.ndim,) + u.shape)
+        # u_xy, then g(x + grad u)
+        self._mixed = np.empty(u.shape)
+        # 1-D: det is 1 + u_xx itself; 2-D: a buffer of its own
+        self._rhs = self._diag[0] if u.ndim == 1 else np.empty(u.shape)
+        self._flat_coords = self._coords.reshape(u.ndim, -1)
+        self._flat_g = self._mixed.reshape(-1)
+
+    def _log_det(self):
+        """log det(I + H(u)) into the rhs buffer; raises unless det > 0."""
+        u, dx, diag = self.u, self.dx, self._diag
+        for d, (fwd, bwd) in zip(diag, self._neighbours):
+            np.multiply(2.0, u, out=d)
+            np.subtract(fwd, d, out=d)
+            np.add(d, bwd, out=d)
+            np.divide(d, dx * dx, out=d)
+            np.add(1.0, d, out=d)
+        det = self._rhs
+        if u.ndim == 2:
+            pp, pm, mp, mm = self._corners
+            b = self._mixed
+            np.subtract(pp, pm, out=b)
+            np.subtract(b, mp, out=b)
+            np.add(b, mm, out=b)
+            np.divide(b, 4.0 * dx * dx, out=b)
+            np.multiply(diag[0], diag[1], out=det)
+            np.multiply(b, b, out=b)
+            np.subtract(det, b, out=det)
+        # min > 0 fails on NaN too, so max < inf leaves det finite
+        if not (det.min() > 0.0 and det.max() < np.inf):
+            raise NumericalAbortError(
+                "det(I + H) lost positivity",
+                {"min_det": float(det.min()), "t_context": "parabolic step"},
+            )
+        return np.log(det, out=det)
+
+    def rhs(self):
+        """log det(I + H(u)) - g(x + grad u) + f, in a buffer the next call reuses."""
+        rhs = self._log_det()
+        dx, coords = self.dx, self._coords
+        for x, nodes, (fwd, bwd) in zip(coords, self.forcing.nodes, self._neighbours):
+            np.subtract(fwd, bwd, out=x)
+            np.divide(x, 2.0 * dx, out=x)
+            np.divide(x, dx, out=x)
+            np.add(nodes, x, out=x)
+        self.forcing.g_at(self._flat_coords, self._flat_g)
+        np.subtract(rhs, self._mixed, out=rhs)
+        np.add(rhs, self.forcing.f_vals, out=rhs)
+        return rhs
+
+    def step(self, dt):
+        """u <- u + dt * rhs, in place."""
+        rhs = self.rhs()
+        np.multiply(dt, rhs, out=rhs)
+        np.add(self.u, rhs, out=self.u)
+        _rewrap(self.ext)
+        return self.u
 
 
 def parabolic_step(state, f, g, grid=None):
@@ -244,7 +401,7 @@ def parabolic_step(state, f, g, grid=None):
     if grid is None:
         grid = TorusGrid(state.u.ndim, state.u.shape[0])
     forcing = _Forcing(grid, f, g, normalize=False)
-    u_next = _step_values(state.u, forcing, state.dx, state.dt)
+    u_next = _Stepper(forcing, state.u, state.dx).step(state.dt).copy()
     if not np.isfinite(u_next).all():
         raise NumericalAbortError(
             "non-finite values in parabolic step", {"t": state.t}
@@ -263,22 +420,24 @@ def solve_parabolic(u0, f, g, T, grid, dt=None, record_times=None, normalize=Tru
     """March the flow to time T, recording states at the requested times.
 
     Steps land exactly on each record time (the last partial step of a
-    segment shrinks dt as needed). By default the forcing exponents are
+    segment shrinks dt as needed). The run always reaches T: when the
+    record times stop short of it, T is recorded last, so an empty list
+    records T alone, as None does. By default the forcing exponents are
     normalized to unit e^{-f} grid mean so the flow can reach a steady
     state; pass normalize=False to integrate the raw equation.
 
-    Returns the list of recorded ParabolicStates (just the final state
-    when record_times is None).
+    Returns the list of recorded ParabolicStates.
     """
-    u = np.asarray(u0, dtype=float).reshape(grid.shape).copy()
+    u = np.asarray(u0, dtype=float).reshape(grid.shape)
     dx = grid.spacing
     if dt is None:
         dt = DEFAULT_DT_FACTOR * dx * dx / grid.n
-    if record_times is None:
-        record_times = [float(T)]
-    times = sorted(float(t) for t in record_times)
-    if times and times[-1] > T + 1e-12:
+    tiny = 1e-12
+    times = sorted(float(t) for t in record_times or ())
+    if times and times[-1] > T + tiny:
         raise ValueError("record times must lie within [0, T]")
+    if not times or times[-1] < T - tiny:
+        times.append(float(T))
 
     forcing = _Forcing(grid, f, g, normalize)
     start = check_quasiconvex(u)
@@ -287,13 +446,15 @@ def solve_parabolic(u0, f, g, T, grid, dt=None, record_times=None, normalize=Tru
             "initial state is not quasi-convex", {"min_eig": start["min_eig"]}
         )
 
+    stepper = None  # built at the first step, so a zero horizon costs none
     out = []
     t = 0.0
-    tiny = 1e-12
     for target in times:
         while t < target - tiny:
+            if stepper is None:
+                stepper = _Stepper(forcing, u, dx)
             step = min(dt, target - t)
-            u = _step_values(u, forcing, dx, step)
+            u = stepper.step(step)
             if not np.isfinite(u).all():
                 raise NumericalAbortError(
                     "non-finite values in parabolic run", {"t": t}
@@ -312,10 +473,7 @@ def ma_residual(u, f, g, grid, normalize=True):
     """Sup-norm of the stationary log-form residual log det(I+H) - g(x+grad u) + f."""
     forcing = _Forcing(grid, f, g, normalize)
     u = np.asarray(u, dtype=float).reshape(grid.shape)
-    ext = _periodic_pad(u)
-    rhs = _log_det(u, ext, grid.spacing) - forcing.g_at_displaced(u, ext, grid.spacing)
-    rhs = rhs + forcing.f_vals
-    return float(np.abs(rhs).max())
+    return float(np.abs(_Stepper(forcing, u, grid.spacing).rhs()).max())
 
 
 # ---------------------------------------------------------------------------

@@ -485,6 +485,30 @@ class TestParabolic:
         )
         assert main(["parabolic", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
+    def test_empty_record_times_record_the_horizon(self, tmp_path):
+        cfg = _cfg(
+            tmp_path,
+            {"n": 1, "k_grid": 16, "f": "0.1*cos(2*pi*x1)", "g": "0.1*sin(2*pi*x1)",
+             "T": 0.01, "record_times": []},
+        )
+        out = tmp_path / "run"
+        assert main(["parabolic", "--config", cfg, "--out", str(out)]) == 0
+        _, rows = _csv(out / "trajectory.csv")
+        np.testing.assert_allclose(rows[:, 0], [0.01], atol=1e-12)
+        assert _summary(out)["T"] == pytest.approx(0.01, abs=1e-12)
+
+    def test_short_record_times_still_reach_the_horizon(self, tmp_path):
+        cfg = _cfg(
+            tmp_path,
+            {"n": 1, "k_grid": 16, "f": "0.1*cos(2*pi*x1)", "g": "0.1*sin(2*pi*x1)",
+             "T": 0.01, "record_times": [0.002]},
+        )
+        out = tmp_path / "run"
+        assert main(["parabolic", "--config", cfg, "--out", str(out)]) == 0
+        _, rows = _csv(out / "trajectory.csv")
+        np.testing.assert_allclose(rows[:, 0], [0.002, 0.01], atol=1e-12)
+        assert _summary(out)["T"] == pytest.approx(0.01, abs=1e-12)
+
 
 class TestDiagnose:
     def test_sht_suite_passes(self, tmp_path):
@@ -536,6 +560,10 @@ class TestDiagnose:
             assert rec["fft_fallbacks"] == 0 and rec["seconds"] > 0.0
             assert rec["fft_repaired"] > 0
         assert not any("1-D fft solve" in line for line in report["failures"])
+        steps = report["parabolic_steps"]
+        assert [(rec["n"], rec["N"]) for rec in steps] == [(1, 256), (2, 64)]
+        for rec in steps:
+            assert rec["steps"] == 300 and rec["us_per_step"] > 0.0
 
     def test_unknown_suite_rejected(self, tmp_path):
         assert main(["diagnose", "entropy", "--out", str(tmp_path / "o")]) == 2

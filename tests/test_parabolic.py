@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.ndimage import map_coordinates, spline_filter
 
 import oracles
+from geosink import parabolic
 from geosink.measures import discretize_torus
 from geosink.parabolic import (
     ParabolicState,
@@ -275,6 +277,133 @@ class TestSolveParabolic:
         fit = exp_convergence_fit(states)
         assert fit["rate"] > 0.0
         assert fit["A_fit"] > 0.0
+
+
+def _spline_reference(coeffs, coords):
+    return map_coordinates(coeffs, coords, order=3, mode="grid-wrap", prefilter=False)
+
+
+class TestSplineEvaluation:
+    """The 2-D tap cache and the direct 1-D call against map_coordinates."""
+
+    @pytest.mark.parametrize("N", [8, 13, 64])
+    def test_taps_match_map_coordinates(self, rng, N):
+        coeffs = rng.standard_normal((N, N))
+        taps = parabolic._SplineTaps(coeffs)
+        nodes = np.indices((N, N), dtype=float).reshape(2, -1)
+        out = np.empty(N * N)
+        for _ in range(4):
+            coords = nodes + rng.uniform(-3.0, 3.0, nodes.shape)
+            # points on and just past both ends of the period
+            coords[:, :6] = [[-3.0, -1e-12, 0.0, N - 1e-12, N, N + 2.5]] * 2
+            assert (coords < 0).any() and (coords >= N).any()
+            ref = _spline_reference(coeffs, coords)
+            assert np.abs(taps(coords, out) - ref).max() <= 1e-15
+
+    def test_cached_patches_match_a_fresh_evaluator(self, rng):
+        grid = TorusGrid(2, 32)
+        g = rng.standard_normal(grid.size)
+        f = np.zeros(grid.size)
+        forcing = parabolic._Forcing(grid, f, g, normalize=False)
+        nodes = forcing.nodes.reshape(2, -1)
+        coords = nodes + rng.uniform(0.1, 0.9, nodes.shape)
+        out = np.empty(grid.size)
+        for _ in range(6):
+            # most points stay in their cell, a random few jump by 1-2 cells
+            cells = np.floor(coords)
+            coords = cells + rng.uniform(0.1, 0.9, coords.shape)
+            jump = rng.random(grid.size) < 0.1
+            coords[:, jump] += rng.integers(-2, 3, (2, jump.sum()))
+            moved = (np.floor(coords) != cells).any(axis=0)
+            assert 0 < moved.sum() < grid.size
+            got = forcing.g_at(coords, out).copy()
+            fresh = parabolic._Forcing(grid, f, g, normalize=False)
+            assert np.array_equal(got, fresh.g_at(coords, np.empty(grid.size)))
+            assert np.abs(got - _spline_reference(forcing.g_coeffs, coords)).max() <= 1e-15
+
+    def test_direct_call_matches_map_coordinates(self, rng, monkeypatch):
+        grid = TorusGrid(1, 64)
+        forcing = parabolic._Forcing(grid, np.zeros(64), rng.standard_normal(64), False)
+        coords = forcing.nodes + rng.uniform(-3.0, 3.0, (1, 64))
+        direct = forcing.g_at(coords, np.empty(64)).copy()
+        # without the private entry point the wrapper is called instead
+        monkeypatch.setattr(parabolic, "_geometric_transform", None)
+        wrapped = forcing.g_at(coords, np.empty(64))
+        assert np.array_equal(direct, wrapped)
+        assert np.array_equal(direct, _spline_reference(forcing.g_coeffs, coords))
+
+
+def _reference_flow(u, f, g, T, dt):
+    """solve_parabolic's march to T as plain expressions on map_coordinates."""
+    dx = 1.0 / u.shape[0]
+    nodes = np.indices(u.shape, dtype=float)
+    g_coeffs = spline_filter(g, order=3, mode="grid-wrap")
+    t = 0.0
+    while t < T - 1e-12:
+        step = min(dt, T - t)
+        ext = np.pad(u, 1, mode="wrap")
+        mid = (slice(1, -1),) * u.ndim
+
+        def at(*offsets):
+            return ext[tuple(slice(1 + o, ext.shape[0] - 1 + o) for o in offsets)]
+
+        axes = [tuple(int(b == a) for b in range(u.ndim)) for a in range(u.ndim)]
+        fwd = [at(*o) for o in axes]
+        bwd = [at(*(-i for i in o)) for o in axes]
+        seconds = [(p - 2.0 * ext[mid] + m) / (dx * dx) for p, m in zip(fwd, bwd)]
+        if u.ndim == 1:
+            det = 1.0 + seconds[0]
+        else:
+            b = (at(1, 1) - at(1, -1) - at(-1, 1) + at(-1, -1)) / (4.0 * dx * dx)
+            det = (1.0 + seconds[0]) * (1.0 + seconds[1]) - b * b
+        coords = np.stack([n + (p - m) / (2.0 * dx) / dx for n, p, m in zip(nodes, fwd, bwd)])
+        g_at = _spline_reference(g_coeffs, coords.reshape(u.ndim, -1)).reshape(u.shape)
+        u = u + step * (np.log(det) - g_at + f)
+        t += step
+    return u
+
+
+class TestFusedStepper:
+    def _pair(self, grid, rng):
+        x = grid.points()
+        f = 0.2 * np.cos(2.0 * np.pi * x).sum(axis=1)
+        g = 0.2 * np.cos(2.0 * np.pi * (x - rng.random(grid.n))).sum(axis=1)
+        return f.reshape(grid.shape), g.reshape(grid.shape)
+
+    def test_one_dimensional_trajectory_is_bitwise_the_reference(self, rng):
+        grid = TorusGrid(1, 64)
+        f, g = self._pair(grid, rng)
+        u0 = 1e-3 * np.cos(2.0 * np.pi * grid.points()[:, 0])
+        dt = 0.2 * grid.spacing**2
+        T = 150.5 * dt  # ends on a partial step
+        got = solve_parabolic(u0, f, g, T, grid, normalize=False)[-1].u
+        assert np.array_equal(got, _reference_flow(u0, f, g, T, dt))
+
+    def test_two_dimensional_trajectory_matches_the_reference(self, rng):
+        grid = TorusGrid(2, 24)
+        f, g = self._pair(grid, rng)
+        dt = 0.1 * grid.spacing**2
+        T = 80 * dt
+        got = solve_parabolic(np.zeros(grid.size), f, g, T, grid, normalize=False)[-1].u
+        ref = _reference_flow(np.zeros(grid.shape), f, g, T, dt)
+        assert np.abs(got - ref).max() <= 1e-13
+
+    def test_residual_and_step_use_the_same_right_hand_side(self, rng):
+        grid = TorusGrid(2, 16)
+        f, g = self._pair(grid, rng)
+        x = grid.points().reshape(grid.shape + (2,))
+        u = 1e-3 * np.cos(2.0 * np.pi * (x[..., 0] + 2.0 * x[..., 1]))
+        state = ParabolicState(u=u, t=0.0, dx=grid.spacing, dt=1e-4)
+        step = parabolic_step(state, f, g, grid)
+        rhs = (step.u - u) / state.dt
+        resid = ma_residual(u, f, g, grid, normalize=False)
+        assert resid == pytest.approx(np.abs(rhs).max(), rel=1e-9)
+
+    def test_three_dimensions_rejected(self):
+        grid = TorusGrid(3, 4)
+        state = ParabolicState(u=np.zeros(grid.shape), t=0.0, dx=0.25, dt=1e-3)
+        with pytest.raises(ValueError, match="n in"):
+            parabolic_step(state, np.zeros(64), np.zeros(64), grid)
 
 
 class TestMAResidual:

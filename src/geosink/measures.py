@@ -81,8 +81,8 @@ class DensityField:
         self.source = source
 
     @classmethod
-    def torus_expression(cls, text, n):
-        names = [f"x{i + 1}" for i in range(n)]
+    def _expression(cls, chart, text, names):
+        """Field of an expression whose i-th variable is coordinate column i."""
         expr = parse_expression(text, names)
 
         def evaluate(coords):
@@ -92,20 +92,15 @@ class DensityField:
                 np.asarray(expr(env), dtype=float), (coords.shape[0],)
             ).copy()
 
-        return cls("torus", evaluate, source=text)
+        return cls(chart, evaluate, source=text)
+
+    @classmethod
+    def torus_expression(cls, text, n):
+        return cls._expression("torus", text, [f"x{i + 1}" for i in range(n)])
 
     @classmethod
     def sphere_expression(cls, text):
-        expr = parse_expression(text, ["phi", "theta"])
-
-        def evaluate(coords):
-            coords = np.atleast_2d(np.asarray(coords, dtype=float))
-            env = {"phi": coords[:, 0], "theta": coords[:, 1]}
-            return np.broadcast_to(
-                np.asarray(expr(env), dtype=float), (coords.shape[0],)
-            ).copy()
-
-        return cls("sphere", evaluate, source=text)
+        return cls._expression("sphere", text, ["phi", "theta"])
 
     @classmethod
     def constant(cls, chart, value=0.0):

@@ -24,6 +24,7 @@ for mildly quasi-convex states.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -38,7 +39,7 @@ try:  # the compiled routine behind map_coordinates, minus its wrapper
     from scipy.ndimage._ni_support import _extend_mode_to_code
 
     _GRID_WRAP = _extend_mode_to_code("grid-wrap")
-except ImportError:
+except ImportError:  # private, so a later scipy may move it: use the wrapper
     _geometric_transform = None
 
 __all__ = [
@@ -133,46 +134,12 @@ def _axis_windows(ndim):
     )
 
 
-def _second_differences(u, ext, dx):
-    """Pure second derivatives along each axis, same shape as u per axis."""
-    return [
-        (ext[fwd] - 2.0 * u + ext[bwd]) / (dx * dx)
-        for fwd, bwd in _axis_windows(u.ndim)
-    ]
-
-
-def _mixed_difference(ext, dx):
-    """Symmetric cross stencil for u_xy on a 2-D periodic grid."""
-    return (
-        ext[_window(1, 1)]
-        - ext[_window(1, -1)]
-        - ext[_window(-1, 1)]
-        + ext[_window(-1, -1)]
-    ) / (4.0 * dx * dx)
-
-
-def _min_hessian_eig(u, dx):
-    """Smallest eigenvalue over nodes of I + discrete Hessian; n <= 2."""
-    ext = _periodic_pad(u)
-    seconds = _second_differences(u, ext, dx)
-    if u.ndim == 1:
-        return float((1.0 + seconds[0]).min())
-    a = 1.0 + seconds[0]
-    c = 1.0 + seconds[1]
-    b = _mixed_difference(ext, dx)
-    radius = np.sqrt(0.25 * (a - c) ** 2 + b * b)
-    return float((0.5 * (a + c) - radius).min())
-
-
 def check_quasiconvex(u, grid=None):
     """Minimum eigenvalue of I + H(u) over all nodes; ok iff positive."""
     u = np.asarray(u, dtype=float)
     if grid is not None:
         u = u.reshape(grid.shape)
-    if u.ndim not in (1, 2):
-        raise ValueError("quasi-convexity check supports n in {1, 2}")
-    dx = 1.0 / u.shape[0]
-    min_eig = _min_hessian_eig(u, dx)
+    min_eig = _Stepper(None, u, 1.0 / u.shape[0]).min_eig()
     return {"min_eig": min_eig, "ok": bool(min_eig > 0.0)}
 
 
@@ -317,7 +284,8 @@ class _Stepper:
         rhs = log det - g(x + grad u) + f,   u <- u + dt rhs
 
     in the same order, each into a buffer, so a step gives the bits of
-    those expressions.
+    those expressions. _hessian() is the module's one Hessian stencil:
+    log det and min_eig both read it. min_eig needs no forcing.
     """
 
     def __init__(self, forcing, u, dx):
@@ -339,8 +307,8 @@ class _Stepper:
         self._flat_coords = self._coords.reshape(u.ndim, -1)
         self._flat_g = self._mixed.reshape(-1)
 
-    def _log_det(self):
-        """log det(I + H(u)) into the rhs buffer; raises unless det > 0."""
+    def _hessian(self):
+        """1 + u_ii per axis into the diag buffer and, in 2-D, u_xy into mixed."""
         u, dx, diag = self.u, self.dx, self._diag
         for d, (fwd, bwd) in zip(diag, self._neighbours):
             np.multiply(2.0, u, out=d)
@@ -348,7 +316,6 @@ class _Stepper:
             np.add(d, bwd, out=d)
             np.divide(d, dx * dx, out=d)
             np.add(1.0, d, out=d)
-        det = self._rhs
         if u.ndim == 2:
             pp, pm, mp, mm = self._corners
             b = self._mixed
@@ -356,7 +323,24 @@ class _Stepper:
             np.subtract(b, mp, out=b)
             np.add(b, mm, out=b)
             np.divide(b, 4.0 * dx * dx, out=b)
-            np.multiply(diag[0], diag[1], out=det)
+
+    def min_eig(self):
+        """Smallest eigenvalue of I + H(u) over the nodes."""
+        self._hessian()
+        a = self._diag[0]
+        if self.u.ndim == 1:
+            return float(a.min())
+        c, b = self._diag[1], self._mixed
+        radius = np.sqrt(0.25 * (a - c) ** 2 + b * b)
+        return float((0.5 * (a + c) - radius).min())
+
+    def _log_det(self):
+        """log det(I + H(u)) into the rhs buffer; raises unless det > 0."""
+        self._hessian()
+        det = self._rhs
+        if self.u.ndim == 2:
+            b = self._mixed
+            np.multiply(self._diag[0], self._diag[1], out=det)
             np.multiply(b, b, out=b)
             np.subtract(det, b, out=det)
         # min > 0 fails on NaN too, so max < inf leaves det finite
@@ -400,19 +384,18 @@ def parabolic_step(state, f, g, grid=None):
     """
     if grid is None:
         grid = TorusGrid(state.u.ndim, state.u.shape[0])
-    forcing = _Forcing(grid, f, g, normalize=False)
-    u_next = _Stepper(forcing, state.u, state.dx).step(state.dt).copy()
+    stepper = _Stepper(_Forcing(grid, f, g, normalize=False), state.u, state.dx)
+    u_next = stepper.step(state.dt).copy()
     if not np.isfinite(u_next).all():
         raise NumericalAbortError(
             "non-finite values in parabolic step", {"t": state.t}
         )
-    min_eig = _min_hessian_eig(u_next, state.dx)
     return ParabolicState(
         u=u_next,
         t=state.t + state.dt,
         dx=state.dx,
         dt=state.dt,
-        min_eig=min_eig,
+        min_eig=stepper.min_eig(),
     )
 
 
@@ -434,33 +417,33 @@ def solve_parabolic(u0, f, g, T, grid, dt=None, record_times=None, normalize=Tru
         dt = DEFAULT_DT_FACTOR * dx * dx / grid.n
     tiny = 1e-12
     times = sorted(float(t) for t in record_times or ())
-    if times and times[-1] > T + tiny:
+    if times and (times[0] < -tiny or times[-1] > T + tiny):
         raise ValueError("record times must lie within [0, T]")
     if not times or times[-1] < T - tiny:
         times.append(float(T))
 
-    forcing = _Forcing(grid, f, g, normalize)
-    start = check_quasiconvex(u)
-    if not start["ok"]:
+    stepper = _Stepper(_Forcing(grid, f, g, normalize), u, dx)
+    min_eig = stepper.min_eig()
+    if not min_eig > 0.0:
         raise NumericalAbortError(
-            "initial state is not quasi-convex", {"min_eig": start["min_eig"]}
+            "initial state is not quasi-convex", {"min_eig": min_eig}
         )
 
-    stepper = None  # built at the first step, so a zero horizon costs none
     out = []
     t = 0.0
+    u = stepper.u  # advanced in place by each step
     for target in times:
         while t < target - tiny:
-            if stepper is None:
-                stepper = _Stepper(forcing, u, dx)
             step = min(dt, target - t)
-            u = stepper.step(step)
+            stepper.step(step)
             if not np.isfinite(u).all():
                 raise NumericalAbortError(
                     "non-finite values in parabolic run", {"t": t}
                 )
             t += step
-        min_eig = _min_hessian_eig(u, dx)
+        # until the first step u is the initial state, checked above
+        if t > 0.0:
+            min_eig = stepper.min_eig()
         if min_eig <= 0.0:
             raise NumericalAbortError(
                 "quasi-convexity lost during run", {"t": t, "min_eig": min_eig}
@@ -469,9 +452,30 @@ def solve_parabolic(u0, f, g, T, grid, dt=None, record_times=None, normalize=Tru
     return out
 
 
-def ma_residual(u, f, g, grid, normalize=True):
-    """Sup-norm of the stationary log-form residual log det(I+H) - g(x+grad u) + f."""
+@lru_cache(maxsize=4)
+def _expression_forcing(grid, f, g, normalize):
+    """One sampled forcing per pair of expression strings, for ma_residual.
+
+    Every later call shares its arrays, so they are made read-only.
+    """
     forcing = _Forcing(grid, f, g, normalize)
+    for values in (forcing.f_vals, forcing.g_coeffs, forcing.nodes):
+        values.flags.writeable = False
+    return forcing
+
+
+def ma_residual(u, f, g, grid, normalize=True):
+    """Sup-norm of the stationary log-form residual log det(I+H) - g(x+grad u) + f.
+
+    Expression strings are sampled and prefiltered once per (grid, f, g,
+    normalize) and reused by later calls, as along a recorded trajectory.
+    """
+    if isinstance(f, str) and isinstance(g, str):
+        # the copy shares the samples but starts without a tap cache, so
+        # each residual calls the spline routine directly
+        forcing = copy.copy(_expression_forcing(grid, f, g, normalize))
+    else:
+        forcing = _Forcing(grid, f, g, normalize)
     u = np.asarray(u, dtype=float).reshape(grid.shape)
     return float(np.abs(_Stepper(forcing, u, grid.spacing).rhs()).max())
 

@@ -351,8 +351,15 @@ def _zonal_series(multipliers):
 
 
 def _zonal_kernel(a, b, multipliers):
-    """K(a_i, b_j) = sum_l mult_l (2l+1) P_l(a_i . b_j) for unit vectors a, b."""
-    return legval(np.clip(a @ b.T, -1.0, 1.0), _zonal_series(multipliers))
+    """K(a_i, b_j) = sum_l mult_l (2l+1) P_l(a_i . b_j) for unit vectors a, b.
+
+    The dot products are summed elementwise, not by BLAS, which rounds one
+    row alone differently: so a row of K is bitwise that row of the matrix.
+    """
+    cos = a[:, 0:1] * b[:, 0]
+    cos += a[:, 1:2] * b[:, 1]
+    cos += a[:, 2:3] * b[:, 2]
+    return legval(np.clip(cos, -1.0, 1.0, out=cos), _zonal_series(multipliers))
 
 
 def zonal_log_kernel(a, b, multipliers):
@@ -591,11 +598,10 @@ class SphereSHTApplicator(LinearDomainApplicator):
         return SphereDenseApplicator(self.grid, self.spec, self.p, self.q)
 
     def cost_row(self, i):
-        e = np.zeros(self.size)
-        e[i] = 1.0
-        col = _apply_zonal(self.grid, e, self._mult)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return -np.log(np.maximum(col, 0.0)) / self.k
+        # the dense route's matrix row, not one SHT apply of a unit vector,
+        # whose absolute rounding swamps the kernel's tail
+        xyz = self.grid.embed()
+        return -zonal_log_kernel(xyz[i : i + 1], xyz, self._mult)[0] / self.k
 
     def describe(self):
         return {**_describe(self.grid, self.spec), "backend": "sht",

@@ -61,9 +61,9 @@ from .sinkhorn import (
     NumericalAbortError,
 )
 
-try:  # numpy >= 2: the gufuncs that np.fft.rfft and np.fft.irfft call
+try:  # the gufuncs that np.fft.rfft and np.fft.irfft call (numpy 2)
     from numpy.fft import _pocketfft_umath as _pocketfft
-except ImportError:  # numpy 1.x
+except ImportError:  # private, so a later numpy may move it: use np.fft
     _pocketfft = None
 
 __all__ = [

@@ -485,6 +485,14 @@ class TestParabolic:
         )
         assert main(["parabolic", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
+    def test_negative_record_time_is_a_config_error(self, tmp_path):
+        cfg = _cfg(
+            tmp_path,
+            {"n": 1, "k_grid": 16, "f": "0", "g": "0", "T": 1.0,
+             "record_times": [-0.1, 0.5]},
+        )
+        assert main(["parabolic", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
     def test_empty_record_times_record_the_horizon(self, tmp_path):
         cfg = _cfg(
             tmp_path,

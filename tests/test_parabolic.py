@@ -7,7 +7,7 @@ from scipy.ndimage import map_coordinates, spline_filter
 
 import oracles
 from geosink import parabolic
-from geosink.measures import discretize_torus
+from geosink.measures import DensityField, discretize_torus
 from geosink.parabolic import (
     ParabolicState,
     c_transform,
@@ -232,6 +232,19 @@ class TestSolveParabolic:
         with pytest.raises(ValueError, match="within"):
             solve_parabolic(np.zeros(16), "0", "0", 0.1, grid, record_times=[0.2])
 
+    def test_negative_record_time_rejected(self):
+        grid = TorusGrid(1, 16)
+        with pytest.raises(ValueError, match=r"within \[0, T\]"):
+            solve_parabolic(np.zeros(16), "0", "0", 0.1, grid, record_times=[-0.1])
+
+    def test_zero_horizon_records_the_initial_min_eig(self):
+        grid = TorusGrid(2, 16)
+        x = grid.points().reshape(grid.shape + (2,))
+        u0 = 1e-3 * np.cos(2.0 * np.pi * (x[..., 0] + 2.0 * x[..., 1]))
+        (state,) = solve_parabolic(u0.ravel(), "0", "0", 0.0, grid, record_times=[0.0])
+        assert state.t == 0.0 and np.array_equal(state.u, u0)
+        assert state.min_eig == check_quasiconvex(u0)["min_eig"]
+
     def test_nonconvex_start_aborts(self):
         grid = TorusGrid(1, 64)
         u0 = np.cos(2.0 * np.pi * grid.points()[:, 0])
@@ -416,6 +429,28 @@ class TestMAResidual:
         u = np.cos(2.0 * np.pi * grid.points()[:, 0])
         with pytest.raises(NumericalAbortError, match="positivity"):
             ma_residual(u, "0", "0", grid)
+
+    def test_expression_forcing_is_sampled_once(self, monkeypatch):
+        grid = TorusGrid(2, 16)
+        f = "0.2*(1-cos(2*pi*x1)) + 0.1*cos(2*pi*x2)"
+        g = "0.2*(1-cos(2*pi*(x1-0.3))) + 0.1*cos(2*pi*(x2-0.1))"
+        sampled = DensityField.torus_expression(f, 2)(grid.points())
+        g_sampled = DensityField.torus_expression(g, 2)(grid.points())
+        calls = []
+        sample = parabolic._sample_exponent
+        monkeypatch.setattr(parabolic, "_sample_exponent",
+                            lambda h, grid: calls.append(h) or sample(h, grid))
+        parabolic._expression_forcing.cache_clear()
+        x = grid.points().reshape(grid.shape + (2,))
+        u = 1e-3 * np.cos(2.0 * np.pi * (x[..., 0] + 2.0 * x[..., 1]))
+        first = ma_residual(u, f, g, grid)
+        assert calls == [f, g]
+        # the second call reuses the samples, and a 2-D reuse still calls
+        # the spline routine, not the tap cache of a flow
+        assert ma_residual(u, f, g, grid) == first
+        assert ma_residual(0.5 * u, f, g, grid) != first
+        assert calls == [f, g]
+        assert ma_residual(u, sampled, g_sampled, grid) == first
 
     @pytest.mark.slow
     def test_sinkhorn_potential_approximately_solves_the_pde(self):

@@ -417,6 +417,18 @@ class TestSphereApplicators:
             fast.softmin_to_target(u), dense.softmin_to_target(u), atol=1e-8
         )
 
+    @pytest.mark.parametrize("kind", ["heat", "antenna"])
+    def test_cost_rows_are_the_dense_rows(self, kind):
+        # one SHT apply of a unit vector was 4.4e-9 off in k * cost at W=16,
+        # k=16, heat kernel, its rounding swamping the kernel's tail
+        grid = SphericalGrid(16)
+        spec = SphereKernelSpec(kind, 16)
+        p = grid.node_weights
+        dense = SphereDenseApplicator(grid, spec, p, p)
+        fast = SphereSHTApplicator(grid, spec, p, p)
+        for i in (0, 5, grid.size // 2, grid.size - 1):
+            assert np.array_equal(fast.cost_row(i), dense.cost_row(i))
+
     def test_underflow_past_the_cap_aborts(self, monkeypatch):
         grid = SphericalGrid(32)  # 4356 nodes, past the dense cap
         p = grid.node_weights

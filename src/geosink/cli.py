@@ -110,6 +110,23 @@ def _write_csv(path, header, rows):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+def _environment():
+    """Library versions and thread settings in effect, for summary.json."""
+    import platform
+
+    import numpy as np
+    import scipy
+
+    affinity = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "thread_env": {var: os.environ.get(var) for var in _THREAD_VARS},
+        "affinity": None if affinity is None else len(affinity),
+    }
+
+
 def _write_json(path, obj):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, sort_keys=True, indent=2)
@@ -181,7 +198,6 @@ _TORUS_SCHEMA = {
 def _torus_side(cfg, which, renormalize):
     """(points, weights, on_lattice) for the source or target side."""
     from .measures import discretize_torus, load_point_cloud
-    from .torus import TorusGrid
 
     cloud = cfg[f"{which}_cloud"]
     expr = cfg[{"source": "f", "target": "g"}[which]]
@@ -197,7 +213,7 @@ def _torus_side(cfg, which, renormalize):
     if expr is None:
         raise ConfigError(f"{which} side needs an expression or a cloud")
     measure = discretize_torus(expr, cfg["k"], cfg["n"])
-    return TorusGrid(cfg["n"], cfg["k"]).points(), measure.weights, True
+    return measure.coords, measure.weights, True
 
 
 def _build_torus_applicator(cfg, renormalize):
@@ -270,6 +286,7 @@ def _run_transport(applicator, cfg, out, coord_header, xs, ys):
         "m_max": cfg["m_max"],
         "backend": applicator.describe(),
         "wall_time_ms": wall_ms,
+        "environment": _environment(),
     }
     _write_json(out / "summary.json", summary)
     click.echo(
@@ -554,6 +571,7 @@ def antenna(config_path, out_path, threads):
                 "pushforward_discrepancy": discrepancy,
                 "pushforward_smoothed": smoothed,
                 "wall_time_ms": wall_ms,
+                "environment": _environment(),
             },
         )
         click.echo(
@@ -647,6 +665,7 @@ def parabolic(config_path, out_path, threads):
                 "min_eig": final.min_eig,
                 "rate_fit": fit,
                 "wall_time_ms": wall_ms,
+                "environment": _environment(),
             },
         )
         click.echo(

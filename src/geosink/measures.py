@@ -7,6 +7,12 @@ a chart tag, a coordinate array, and probability weights normalized by
 explicit division (pairwise summation keeps this deterministic and is
 plenty accurate at the sizes we run).
 
+Every measure, from a grid or a file, passes one validation: weights
+finite, nonnegative and summing to 1, coordinates finite, and points
+pairwise distinct under exact float equality (0.0 equals -0.0). The
+distinctness test is one lexicographic sort of the rows, O(N log N),
+then one comparison of neighbours.
+
 Torus charts use coordinates in [0, 1)^n. Sphere charts use (phi, theta)
 with phi in [0, 2*pi) and theta strictly inside (0, pi); the grids used
 by the fast backends never touch the poles.
@@ -122,6 +128,18 @@ class DensityField:
         return values
 
 
+def _has_repeated_row(coords):
+    """True when two rows are equal in every column.
+
+    One lexicographic sort makes equal rows adjacent. Sorting and the
+    comparison both use float ==, so 0.0 matches -0.0 while rows one ulp
+    apart stay distinct.
+    """
+    # lexsort needs at least one key; rows without columns are all equal
+    rows = coords[np.lexsort(coords.T)] if coords.shape[1] else coords
+    return bool((rows[1:] == rows[:-1]).all(axis=1).any())
+
+
 class DiscreteMeasure:
     """Weighted point cloud: chart tag, (N, d) coordinates, weights summing to 1."""
 
@@ -135,7 +153,15 @@ class DiscreteMeasure:
         total = weights.sum()
         if not np.isclose(total, 1.0, rtol=0.0, atol=1e-12):
             raise ValueError(f"weights must sum to 1 within 1e-12, got {total!r}")
-        if len(np.unique(coords, axis=0)) != coords.shape[0]:
+        finite = np.isfinite(coords).all(axis=1)
+        if not finite.all():
+            bad = np.flatnonzero(~finite)
+            raise ValueError(
+                f"point coordinates must be finite; {bad.size} of "
+                f"{coords.shape[0]} points are not, the first is row "
+                f"{bad[0]}: {coords[bad[0]].tolist()}"
+            )
+        if _has_repeated_row(coords):
             raise ValueError("points must be pairwise distinct")
         self.chart = chart
         self.coords = coords

@@ -151,6 +151,8 @@ class SphericalGrid:
         # ring weights against the normalized measure (sum over rings = 1)
         self.ring_weights = _fejer_weights(self.n_theta) / 2.0
         self.node_weights = np.repeat(self.ring_weights / self.n_phi, self.n_phi)
+        self._angles = None
+        self._embed = None
         self._table = None
 
     @property
@@ -158,20 +160,30 @@ class SphericalGrid:
         return self.n_theta * self.n_phi
 
     def angles(self):
-        """(N, 2) array of (phi, theta) per node, ring-major order."""
-        phi, theta = np.meshgrid(self.phis, self.thetas, indexing="xy")
-        return np.column_stack([phi.ravel(), theta.ravel()])
+        """(N, 2) array of (phi, theta) per node, ring-major order; cached, read-only."""
+        if self._angles is None:
+            phi, theta = np.meshgrid(self.phis, self.thetas, indexing="xy")
+            self._angles = _read_only(np.column_stack([phi.ravel(), theta.ravel()]))
+        return self._angles
 
     def embed(self):
-        """(N, 3) unit vectors for all nodes."""
-        ang = self.angles()
-        return sphere_embed(ang[:, 0], ang[:, 1])
+        """(N, 3) unit vectors for all nodes; cached, read-only."""
+        if self._embed is None:
+            ang = self.angles()
+            self._embed = _read_only(sphere_embed(ang[:, 0], ang[:, 1]))
+        return self._embed
 
     def legendre_table(self):
-        """Normalized associated Legendre table up to degree W, cached."""
+        """Normalized associated Legendre table up to degree W; cached, read-only."""
         if self._table is None:
-            self._table = _normalized_legendre_table(self.W, self.mu)
+            self._table = _read_only(_normalized_legendre_table(self.W, self.mu))
         return self._table
+
+
+def _read_only(a):
+    # cached arrays are shared by every caller of the grid
+    a.flags.writeable = False
+    return a
 
 
 def sphere_embed(phi, theta):

@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 import geosink
-from geosink.cli import main
+from geosink.cli import _THREAD_VARS, main
+from geosink.torus import TorusGrid
 
 SMOOTH_F = "3*(1-cos(2*pi*x1))"
 SMOOTH_G = "3*(1-cos(2*pi*(x1-0.375)))"
@@ -166,6 +167,28 @@ class TestTransportTorus:
         assert header == ("x1", "u") and pots.shape == (12, 2)
         theader, tpots = _csv(out / "potentials_target.csv")
         assert theader == ("x1", "v") and tpots.shape == (9, 2)
+
+    def test_lattice_coordinates_are_the_grid_points(self, tmp_path):
+        cfg = _cfg(tmp_path, {"manifold": "torus", "n": 2, "k": 6, "f": "0", "g": "0"})
+        out = tmp_path / "run"
+        assert main(["transport", "torus", "--config", cfg, "--out", str(out)]) == 0
+        header, pots = _csv(out / "potentials.csv")
+        assert header == ("x1", "x2", "u", "v")
+        # repr round-trips, so the columns hold the lattice bit for bit
+        np.testing.assert_array_equal(pots[:, :2], TorusGrid(2, 6).points())
+
+    def test_non_finite_cloud_is_a_config_error(self, tmp_path, capsys):
+        src = tmp_path / "src.txt"
+        src.write_text("torus1 0.1\ntorus1 nan\n", encoding="utf-8")
+        tgt = _torus_cloud(tmp_path / "tgt.txt", [0.2, 0.7])
+        cfg = _cfg(
+            tmp_path,
+            {"manifold": "torus", "n": 1, "k": 8, "source_cloud": str(src),
+             "target_cloud": tgt, "backend": "direct"},
+        )
+        rc = main(["transport", "torus", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "coordinates must be finite" in capsys.readouterr().err
 
     def test_point_clouds_reject_fft_backend(self, tmp_path, rng):
         src = _torus_cloud(tmp_path / "src.txt", rng.random(6))
@@ -575,6 +598,38 @@ class TestDiagnose:
 
     def test_unknown_suite_rejected(self, tmp_path):
         assert main(["diagnose", "entropy", "--out", str(tmp_path / "o")]) == 2
+
+
+class TestSummaryEnvironment:
+    @pytest.mark.parametrize(
+        "argv, payload",
+        [
+            (["transport", "torus"], {"manifold": "torus", "k": 8, "f": "0", "g": "0"}),
+            (["transport", "sphere"],
+             {"manifold": "sphere", "k": 4, "W": 8, "f": "0", "g": "0"}),
+            (["antenna"], {"k": 4, "W": 8, "f": "0", "g": "0"}),
+            (["parabolic"], {"n": 1, "k_grid": 16, "f": "0", "g": "0", "T": 0.01,
+                             "records": 1}),
+        ],
+        ids=["transport-torus", "transport-sphere", "antenna", "parabolic"],
+    )
+    def test_summary_records_versions_and_threads(self, tmp_path, monkeypatch,
+                                                  argv, payload):
+        import platform
+
+        import scipy
+
+        for var in _THREAD_VARS:  # restored after the test; --threads sets them
+            monkeypatch.delenv(var, raising=False)
+        out = tmp_path / "run"
+        cfg = _cfg(tmp_path, payload)
+        assert main(argv + ["--config", cfg, "--out", str(out), "--threads", "1"]) == 0
+        env = _summary(out)["environment"]
+        assert env["python"] == platform.python_version()
+        assert env["numpy"] == np.__version__
+        assert env["scipy"] == scipy.__version__
+        assert env["thread_env"] == {var: "1" for var in _THREAD_VARS}
+        assert env["affinity"] == len(os.sched_getaffinity(0))
 
 
 class TestEntryPoint:

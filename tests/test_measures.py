@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from geosink.measures import (
     DensityField,
+    DiscreteMeasure,
     ManifoldPoint,
     check_density_property,
     discretize_sphere,
@@ -149,8 +150,6 @@ class TestCheckDensityProperty:
     def test_empty_ball_flags_minus_inf(self):
         mu = discretize_torus("0", 4, 1)
         atom = ManifoldPoint("torus", (0.0,))
-        from geosink.measures import DiscreteMeasure
-
         single = DiscreteMeasure("torus", np.array([atom.coords]), np.array([1.0]))
         out = check_density_property(
             single, k=4, radius=0.1, sample_centers=np.array([[0.5]])
@@ -175,3 +174,94 @@ class TestDensityField:
     def test_constant_field(self):
         f = DensityField.constant("torus", 1.5)
         assert_allclose(f(np.zeros((3, 1))), 1.5)
+
+
+def _uniform(coords):
+    coords = np.asarray(coords, dtype=float)
+    n = coords.shape[0]
+    return DiscreteMeasure("torus", coords, np.full(n, 1.0 / n))
+
+
+def _cloud(tmp_path, text):
+    path = tmp_path / "cloud.txt"
+    path.write_text(text)
+    return load_point_cloud(path)
+
+
+ULP = np.nextafter(0.5, 1.0) - 0.5
+
+# every lattice (n, k) and sphere bandwidth W the benchmark workloads build
+WORKLOAD_LATTICES = [(1, 16), (1, 32), (1, 64), (1, 128), (1, 256), (1, 384),
+                     (2, 64), (2, 128), (2, 192)]
+WORKLOAD_BANDWIDTHS = [16, 31, 32, 48, 64]
+
+DISTINCTNESS = [
+    pytest.param(lambda tmp: _uniform([[0.1, 0.2], [0.5, 0.5], [0.3, 0.9], [0.1, 0.2]]),
+                 False, id="duplicate-not-adjacent"),
+    pytest.param(lambda tmp: _uniform([[0.0], [-0.0]]), False, id="signed-zero"),
+    # -0.0 and 0.0 sort as equal keys, so no row can slip between the pair
+    pytest.param(lambda tmp: _uniform([[-0.0, -0.0], [0.7, -0.0], [0.0, 0.0]]),
+                 False, id="signed-zero-in-both-columns"),
+    pytest.param(lambda tmp: _cloud(tmp, "torus1 0.25\ntorus1 0.5\ntorus1 1.25\n"),
+                 False, id="cloud-wraps-onto-a-point"),
+    pytest.param(lambda tmp: _uniform([[0.1, 0.2], [0.1, 0.3], [0.4, 0.2]]),
+                 True, id="equal-in-one-column"),
+    pytest.param(lambda tmp: _uniform([[0.5], [0.5 + ULP]]), True, id="one-ulp-apart"),
+    pytest.param(lambda tmp: _uniform([[0.3, 0.5], [0.3, 0.5 + ULP], [0.3, 0.5 - ULP / 2]]),
+                 True, id="one-ulp-apart-in-one-column"),
+] + [
+    pytest.param(lambda tmp, n=n, k=k: discretize_torus("0", k, n), True,
+                 id=f"lattice-n{n}-k{k}")
+    for n, k in WORKLOAD_LATTICES
+] + [
+    pytest.param(lambda tmp, W=W: discretize_sphere("0", SphericalGrid(W)), True,
+                 id=f"sphere-W{W}")
+    for W in WORKLOAD_BANDWIDTHS
+]
+
+
+class TestValidation:
+    @pytest.mark.parametrize("build, accepted", DISTINCTNESS)
+    def test_distinctness(self, tmp_path, build, accepted):
+        if accepted:
+            assert build(tmp_path).size > 1
+        else:
+            with pytest.raises(ValueError, match="^points must be pairwise distinct$"):
+                build(tmp_path)
+
+    def test_distinctness_matches_a_set_of_rows(self, rng):
+        # few distinct values per column, signed zeros among them, so about
+        # half the arrays repeat a row; Python tuples compare floats by ==
+        values = np.array([-0.0, 0.0, 0.25, 0.5, 0.5 + ULP])
+        verdicts = set()
+        for _ in range(300):
+            n, d = rng.integers(2, 7), rng.integers(1, 4)
+            coords = values[rng.integers(0, len(values), size=(n, d))]
+            distinct = len({tuple(row) for row in coords}) == n
+            try:
+                _uniform(coords)
+                accepted = True
+            except ValueError as exc:
+                assert str(exc) == "points must be pairwise distinct"
+                accepted = False
+            assert accepted == distinct, coords
+            verdicts.add(accepted)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coordinates_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"finite; 1 of 3 points .* row 1: \[0.2, "):
+            _uniform([[0.1, 0.2], [0.2, bad], [0.3, 0.4]])
+
+    def test_two_nan_rows_rejected(self):
+        with pytest.raises(ValueError, match="finite; 2 of 2 points"):
+            _uniform([[np.nan], [np.nan]])
+
+    @pytest.mark.parametrize(
+        "text", ["torus1 0.1\ntorus1 nan\n", "torus1 0.1\ntorus1 inf\n",
+                 "sphere 0.1 1.0\nsphere nan 1.0\n"],
+        ids=["torus-nan", "torus-inf", "sphere-nan-longitude"],
+    )
+    def test_non_finite_cloud_rejected(self, tmp_path, text):
+        with pytest.raises(ValueError, match="coordinates must be finite"):
+            _cloud(tmp_path, text)

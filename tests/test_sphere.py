@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import oracles
+from geosink.measures import discretize_sphere
 from geosink.sinkhorn import NumericalAbortError, initial_state, marginal_errors, run_until
 from geosink.sphere import (
     HarmonicCoeffs,
@@ -25,6 +26,7 @@ from geosink.sphere import (
     sht_forward,
     sht_inverse,
     sphere_embed,
+    zonal_log_kernel,
 )
 
 
@@ -92,6 +94,32 @@ class TestSphericalGrid:
     def test_embed_unit_norm(self):
         grid = SphericalGrid(5)
         assert_allclose(np.linalg.norm(grid.embed(), axis=1), 1.0, atol=1e-14)
+
+    def test_geometry_is_cached_read_only(self):
+        grid = SphericalGrid(6)
+        for method in (grid.angles, grid.embed, grid.legendre_table):
+            cached = method()
+            assert method() is cached
+            assert not cached.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                cached[0] = 0.0
+
+    def test_no_caller_writes_into_the_cached_geometry(self, rng):
+        grid = SphericalGrid(8)
+        phi, theta = np.meshgrid(grid.phis, grid.thetas, indexing="xy")
+        ang = np.column_stack([phi.ravel(), theta.ravel()])
+        xyz = sphere_embed(ang[:, 0], ang[:, 1])
+        p = grid.node_weights
+        discretize_sphere("cos(theta)", grid)
+        for kind in ("heat", "antenna"):
+            spec = SphereKernelSpec(kind, 4)
+            SphereSHTApplicator(grid, spec, p, p).cost_row(3)
+            SphereDenseApplicator(grid, spec, p, p)
+        bandlimited_heat_matrix(grid, 0.1)
+        antenna_kernel_matrix(grid, 4)
+        reflector_map(grid, 1.0 + 0.01 * rng.random(grid.size))
+        assert np.array_equal(grid.angles(), ang)
+        assert np.array_equal(grid.embed(), xyz)
 
     def test_bandwidth_guards(self):
         with pytest.raises(ValueError):
@@ -428,6 +456,19 @@ class TestSphereApplicators:
         fast = SphereSHTApplicator(grid, spec, p, p)
         for i in (0, 5, grid.size // 2, grid.size - 1):
             assert np.array_equal(fast.cost_row(i), dense.cost_row(i))
+
+    def test_cost_row_is_bitwise_the_uncached_row(self):
+        # the row from embedding the angles afresh, as before the grid
+        # cached its geometry
+        grid = SphericalGrid(16)
+        p = grid.node_weights
+        fast = SphereSHTApplicator(grid, SphereKernelSpec("heat", 16), p, p)
+        phi, theta = np.meshgrid(grid.phis, grid.thetas, indexing="xy")
+        xyz = sphere_embed(phi.ravel(), theta.ravel())
+        for i in (0, 7, grid.size - 1):
+            ref = -zonal_log_kernel(xyz[i : i + 1], xyz, fast._mult)[0] / fast.k
+            assert np.array_equal(fast.cost_row(i), ref)
+            assert np.array_equal(fast.cost_row(i), ref)
 
     def test_underflow_past_the_cap_aborts(self, monkeypatch):
         grid = SphericalGrid(32)  # 4356 nodes, past the dense cap

@@ -24,6 +24,7 @@ import json
 import os
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import click
@@ -124,7 +125,28 @@ def _environment():
         "scipy": scipy.__version__,
         "thread_env": {var: os.environ.get(var) for var in _THREAD_VARS},
         "affinity": None if affinity is None else len(affinity),
+        "blas_threads": _blas_threads(),
     }
+
+
+def _blas_threads():
+    """Thread count the OpenBLAS bundled with numpy reports, or None when unreadable."""
+    import ctypes
+
+    import numpy as np
+
+    for lib in sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs")
+                      .glob("*openblas*")):
+        try:
+            handle = ctypes.CDLL(str(lib))
+        except OSError:
+            continue
+        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
+            fn = getattr(handle, symbol, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = [], ctypes.c_int
+                return int(fn())
+    return None
 
 
 def _write_json(path, obj):
@@ -681,130 +703,124 @@ def parabolic(config_path, out_path, threads):
 # ---------------------------------------------------------------------------
 
 
-def bench_torus_apply(sizes, reps=11, inner=None):
-    """Per-application seconds of fft_apply at each lattice size.
+def _interleaved_min(calls, reps):
+    """Seconds per call of each (fn, loops) pair, minimum over reps.
 
-    Sweeps the sizes round-robin and keeps the per-size minimum across
-    sweeps: scheduler noise only ever adds time, so the minimum is the
-    cleanest estimate of the true cost, and interleaving decorrelates
-    slow machine phases from any particular size. The collector is paused
-    during timed loops (as timeit does); with a large live heap its scans
-    add a per-call constant that drowns the small sizes.
+    Sweeps the calls round-robin, timing `loops` calls of each, and keeps
+    each one's minimum across sweeps: scheduler noise only ever adds time,
+    so the minimum is the cleanest estimate of the true cost, and
+    interleaving decorrelates slow machine phases from any one call. The
+    collector is paused during timed loops (as timeit does); with a large
+    live heap its scans add a per-call constant that drowns small sizes.
     """
     import gc
 
-    import numpy as np
-
-    from .torus import TorusGrid, TorusKernelSpec, fft_apply
-
-    setups = []
-    for k in sizes:
-        grid = TorusGrid(1, k)
-        spec = TorusKernelSpec("gaussian", k=k)
-        profile = np.exp(spec.log_cost_profile(grid))
-        w = np.exp(-np.linspace(0.0, 1.0, grid.size))
-        loops = inner if inner is not None else max(4, 2 ** 19 // k)
-        fft_apply(profile, w)  # warm caches and plans
-        setups.append((grid.size, profile, w, loops))
-    best = {n: np.inf for n, *_ in setups}
+    best = [float("inf")] * len(calls)
     was_enabled = gc.isenabled()
     gc.collect()
     gc.disable()
     try:
         for _ in range(reps):
-            for n, profile, w, loops in setups:
+            for i, (fn, loops) in enumerate(calls):
                 t0 = time.perf_counter()
                 for _ in range(loops):
-                    fft_apply(profile, w)
-                best[n] = min(best[n], (time.perf_counter() - t0) / loops)
+                    fn()
+                best[i] = min(best[i], (time.perf_counter() - t0) / loops)
     finally:
         if was_enabled:
             gc.enable()
-    return [(n, float(t)) for n, t in best.items()]
+    return best
 
 
-# the README's 1-D example pair
-_README_F = "3*(1-cos(2*pi*x1))"
-_README_G = "3*(1-cos(2*pi*(x1-0.375)))"
+def bench_torus_apply(sizes, reps=11, inner=None):
+    """Per-application seconds of fft_apply at each lattice size, interleaved."""
+    import numpy as np
+
+    from .torus import TorusGrid, TorusKernelSpec, fft_apply
+
+    calls = []
+    for k in sizes:
+        grid = TorusGrid(1, k)
+        profile = np.exp(TorusKernelSpec("gaussian", k=k).log_cost_profile(grid))
+        w = np.exp(-np.linspace(0.0, 1.0, grid.size))
+        fft_apply(profile, w)  # warm caches and plans
+        calls.append((partial(fft_apply, profile, w),
+                      inner if inner is not None else max(4, 2 ** 19 // k)))
+    return [(k, float(t)) for k, t in zip(sizes, _interleaved_min(calls, reps))]
+
+
+def _readme_pair_applicator(k):
+    """The README's 1-D example pair at k, through the solver's fft route."""
+    from .measures import discretize_torus
+    from .torus import TorusGrid, TorusKernelSpec, TorusLatticeApplicator
+
+    p = discretize_torus("3*(1-cos(2*pi*x1))", k, 1).weights
+    q = discretize_torus("3*(1-cos(2*pi*(x1-0.375)))", k, 1).weights
+    return TorusLatticeApplicator(TorusGrid(1, k), TorusKernelSpec("gaussian", k=k),
+                                  p, q, mode="fft")
+
+
+def bench_torus_route(ks, steps=40, reps=5):
+    """Per-application seconds of the 1-D route the solver runs, interleaved.
+
+    Times softmin_to_target of the README pair's applicator at each k, at
+    the potential after `steps` scaling steps, peaked as in a real solve.
+    """
+    from .sinkhorn import initial_state, run_until
+
+    calls = []
+    for k in ks:
+        app = _readme_pair_applicator(k)
+        u = run_until(initial_state(app), app, tol=None, m_max=steps).u.values
+        calls.append((partial(app.softmin_to_target, u), 1))
+    return [(k, float(t)) for k, t in zip(ks, _interleaved_min(calls, reps))]
 
 
 def bench_torus_solves(ks, tol=1e-9):
     """The README pair solved through the 1-D fft route to tol at each k.
 
-    One record per k: stop reason, steps, the route's repaired outputs
-    and fallbacks, and the seconds the solve took.
+    One record per k: stop reason, steps, the route's fallbacks, and the
+    seconds the solve took.
     """
-    from .measures import discretize_torus
     from .sinkhorn import initial_state, run_until
-    from .torus import TorusGrid, TorusKernelSpec, TorusLatticeApplicator
 
     records = []
     for k in ks:
-        p = discretize_torus(_README_F, k, 1).weights
-        q = discretize_torus(_README_G, k, 1).weights
-        app = TorusLatticeApplicator(TorusGrid(1, k), TorusKernelSpec("gaussian", k=k),
-                                     p, q, mode="fft")
+        app = _readme_pair_applicator(k)
         t0 = time.perf_counter()
         state = run_until(initial_state(app), app, tol=tol)
-        records.append({
-            "k": k,
-            "stop_reason": state.stop_reason,
-            "steps": state.m,
-            "fft_repaired": app.repaired,
-            "fft_fallbacks": app.fallbacks,
-            "seconds": time.perf_counter() - t0,
-        })
+        records.append({"k": k, "stop_reason": state.stop_reason, "steps": state.m,
+                        "fft_fallbacks": app.fallbacks,
+                        "seconds": time.perf_counter() - t0})
     return records
 
 
 def bench_sphere_apply(bandwidths, reps=5, inner=2):
-    """Per-application seconds of the SHT backend at each bandwidth.
-
-    Each rep times `inner` applies per bandwidth; the bandwidths are swept
-    round-robin and each keeps its minimum over reps, as in
-    bench_torus_apply, so a slow phase of the machine does not land on
-    one size alone.
-    """
-    import gc
-
+    """Per-application seconds of the SHT backend at each bandwidth, interleaved."""
     import numpy as np
 
     from .sphere import SphereKernelSpec, SphereSHTApplicator, SphericalGrid
 
-    setups = []
+    sizes, calls = [], []
     for W in bandwidths:
         grid = SphericalGrid(W)
-        spec = SphereKernelSpec("heat", k=max(2, W // 2))
         p = grid.node_weights.copy()
-        app = SphereSHTApplicator(grid, spec, p, p)
+        app = SphereSHTApplicator(grid, SphereKernelSpec("heat", k=max(2, W // 2)), p, p)
         u = np.zeros(grid.size)
         app.softmin_to_target(u)
-        setups.append((grid.size, app, u))
-    best = [np.inf] * len(setups)
-    was_enabled = gc.isenabled()
-    gc.collect()
-    gc.disable()
-    try:
-        for _ in range(reps):
-            for i, (_, app, u) in enumerate(setups):
-                t0 = time.perf_counter()
-                for _ in range(inner):
-                    app.softmin_to_target(u)
-                best[i] = min(best[i], (time.perf_counter() - t0) / inner)
-    finally:
-        if was_enabled:
-            gc.enable()
-    return [(n, float(t)) for (n, _, _), t in zip(setups, best)]
+        sizes.append(grid.size)
+        calls.append((partial(app.softmin_to_target, u), inner))
+    return [(n, float(t)) for n, t in zip(sizes, _interleaved_min(calls, reps))]
 
 
 def bench_parabolic_steps(steps=300, reps=3):
     """Microseconds per explicit Euler step of solve_parabolic.
 
     Two sizes: 1-D N=256 at the default dt and 2-D 64x64 at dt = 0.1 dx^2,
-    with shifted cosine wells as forcing. Each rep runs the flow
-    for `steps` steps and for none; the difference of the two minima over
-    reps, per step, leaves out sampling, prefilter and the checks at the
-    start and the end.
+    with shifted cosine wells as forcing. The flow runs for `steps` steps
+    and for none, interleaved; the difference of the two minima over reps,
+    per step, leaves out sampling, prefilter and the checks at the start
+    and the end.
     """
     import numpy as np
 
@@ -824,18 +840,11 @@ def bench_parabolic_steps(steps=300, reps=3):
         grid = TorusGrid(n, N)
         u0 = np.zeros(grid.size)
         dt_run = solve_parabolic(u0, f, g, 0.0, grid, dt=dt)[-1].dt
-        best = {0: np.inf, steps: np.inf}
-        for _ in range(reps):
-            for count in best:
-                t0 = time.perf_counter()
-                solve_parabolic(u0, f, g, count * dt_run, grid, dt=dt)
-                best[count] = min(best[count], time.perf_counter() - t0)
-        records.append({
-            "n": n,
-            "N": N,
-            "steps": steps,
-            "us_per_step": 1e6 * (best[steps] - best[0]) / steps,
-        })
+        none, full = _interleaved_min(
+            [(partial(solve_parabolic, u0, f, g, count * dt_run, grid, dt=dt), 1)
+             for count in (0, steps)], reps)
+        records.append({"n": n, "N": N, "steps": steps,
+                        "us_per_step": 1e6 * (full - none) / steps})
     return records
 
 
@@ -942,6 +951,7 @@ def _suite_bench(cfg):
     sphere_ws = cfg.get("sphere_bandwidths", [16, 23, 32, 45, 64])
     torus_pairs = bench_torus_apply(torus_sizes)
     sphere_pairs = bench_sphere_apply(sphere_ws)
+    torus_route = bench_torus_route([512, 1024, 2048, 4096])
     torus_solves = bench_torus_solves([256, 1024])
     parabolic_steps = bench_parabolic_steps()
     torus_slope = fit_loglog_slope(torus_pairs)
@@ -960,6 +970,8 @@ def _suite_bench(cfg):
     return {
         "torus": torus_pairs,
         "sphere": sphere_pairs,
+        "torus_route": torus_route,
+        "torus_route_slope": fit_loglog_slope(torus_route),
         "torus_solves": torus_solves,
         "parabolic_steps": parabolic_steps,
         "torus_slope": torus_slope,

@@ -144,8 +144,11 @@ class DiscreteMeasure:
     """Weighted point cloud: chart tag, (N, d) coordinates, weights summing to 1."""
 
     def __init__(self, chart, coords, weights):
-        coords = np.atleast_2d(np.asarray(coords, dtype=float))
+        coords = np.asarray(coords, dtype=float)
         weights = np.asarray(weights, dtype=float)
+        if chart == "torus" and coords.ndim == 1 and weights.shape == coords.shape:
+            coords = coords[:, None]  # N points of the 1-D torus, not one point
+        coords = np.atleast_2d(coords)
         if weights.shape != (coords.shape[0],):
             raise ValueError("one weight per point required")
         if np.any(weights < 0) or not np.all(np.isfinite(weights)):

@@ -11,8 +11,8 @@ to apply the kernel. The backend contract is structural; any object with
     describe() -> dict
 
 works. DenseApplicator below is the one exact log-domain backend; each
-manifold only builds its log-kernel matrix. The fast routes (torus FFT,
-sphere SHT) derive from LinearDomainApplicator, which redoes an
+manifold only builds its log-kernel matrix. The fast routes (torus FFT or
+product, sphere SHT) derive from LinearDomainApplicator, which redoes an
 application whose output it cannot trust on a lazily built DenseApplicator.
 
 One step maps u_m to u_{m+1} = u[v_{m+1}] with v_{m+1} = v[u_m]. Because
@@ -408,16 +408,16 @@ class DenseApplicator:
 
 
 class LinearDomainApplicator:
-    """Core of the fast routes (torus FFT, sphere SHT).
+    """Core of the fast routes (torus product and FFT, sphere SHT).
 
     Subclasses set mode and supply _linear_apply(w), the kernel on a
-    positive vector returning (output, its minimum), and _build_dense, the
-    same kernel as a DenseApplicator. An application shifts by the minimum
-    of the potential, so the largest scaled weight is exactly 1, applies
-    the kernel in the linear domain and takes the log back, but only when
-    the output's minimum exceeds the route's _floor (NaN never does):
-    this is the one trust check of the fast routes. The floor is 0, or
-    k * tiny / 1e-13 on the certified 1-D torus route (see geosink.torus).
+    positive vector, and _build_dense, the same kernel as a
+    DenseApplicator. An application shifts by the minimum of the
+    potential, so the largest scaled weight is exactly 1, applies the
+    kernel in the linear domain and takes the log back, but only when the
+    output's minimum exceeds the route's _floor (NaN never does): this is
+    the one trust check of the fast routes. The floor is 0, or
+    k * tiny / 1e-13 on the exact 1-D torus product (see geosink.torus).
     An untrusted application is redone on the dense route, built on first
     use and counted in .fallbacks; past DENSE_POINT_CAP points, where that
     route is quadratic, the run aborts instead. mode "direct" always takes
@@ -444,8 +444,8 @@ class LinearDomainApplicator:
         if self.mode != "direct":
             shift = values.min()
             w = np.exp(-self.k * (values - shift) + log_weights)
-            out, lo = self._linear_apply(w)
-            if lo > self._floor:
+            out = self._linear_apply(w)
+            if out.min() > self._floor:
                 return np.log(out) / self.k - shift
             if self.size > DENSE_POINT_CAP:
                 raise NumericalAbortError(

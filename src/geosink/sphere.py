@@ -603,8 +603,7 @@ class SphereSHTApplicator(LinearDomainApplicator):
         self.spec = spec
 
     def _linear_apply(self, w):
-        out = _apply_zonal(self.grid, w, self._mult)
-        return out, out.min()
+        return _apply_zonal(self.grid, w, self._mult)
 
     def _build_dense(self):
         return SphereDenseApplicator(self.grid, self.spec, self.p, self.q)

@@ -10,36 +10,17 @@ which decouples per axis. Kernel application (the inner loop of the scaling
 iteration) comes in two flavours. The exact one is the package's single
 dense route, sinkhorn.DenseApplicator, over a matrix built here: the
 circulant log_K[a, b] = log_profile[(a - b) mod k] per axis on the lattice,
-or the log-kernel between two point clouds. The fast one is an FFT circular
-convolution in the linear domain that exploits the translation invariance
-of the kernel.
-
-On the 1-D lattice the FFT route is certified. The forward error of an
-FFT circular convolution of a vector w with a positive profile obeys
-
-    max_j |error_j| <= c * S,  S = eps * log2(k) * ||w||_2 * sum(profile)
-
-(Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., sec.
-24.1: a relative error of order eps * log2(k) per transform, and
-sum(profile) is the largest Fourier multiplier of a positive profile).
-The constant c depends on the transform's factorization; the route takes
-c = 1, and measured errors stay below 0.1 S for Gaussian and heat
-profiles at k from 16 to 16384, prime k included (the tests check c <= 1
-up to k = 4096). An output above S / delta (delta = 1e-13) is then
-accurate to c * delta relative. Every other output, including a
-nonpositive one, is redone as the exact positive sum
-sum_i profile[(j - i) mod k] w_i, which has no cancellation, and counted
-in .repaired. LinearDomainApplicator then trusts the output only above
-the floor k * tiny / delta (0 on the uncertified 2-D and 3-D routes);
-below it the output has truly underflowed and the application is redone
-on the dense route (counted in .fallbacks), or aborts with
-NumericalAbortError past DENSE_POINT_CAP points. Past the cap a redo that
-costs more than one dense application at the cap (flagged outputs * k >
-DENSE_POINT_CAP^2) aborts too. The bound is pessimistic for spread-out
-w: a flat output fails it once eps * log2(k) * sqrt(k) > delta, from
-about k = 1750. From there on most outputs are redone, an application
-costs about one dense product, and past the cap the route aborts on
-nearly every input.
+or the log-kernel between two point clouds. The fast one works in the
+linear domain and exploits the kernel's translation invariance: an FFT
+convolution on the 2-D and 3-D lattices, and on the 1-D lattice the exact
+circulant product out[j] = sum_i profile[(j - i) mod k] w_i. Each output
+of that product is a sum of k positive terms, so its relative error is at
+most about k * eps (Higham, Accuracy and Stability of Numerical
+Algorithms, 2nd ed., sec. 4.2) whatever range the outputs span; against
+extended precision it stays below 3e-15 for k from 2 to 8192. An FFT
+would instead put an absolute error of order eps * log2(k) * ||w||_2 *
+sum(profile) into every output (ibid., sec. 24.1), swamping the small
+outputs of a peaked potential.
 
 Kernels: the Gaussian profile exp(-k c) for sharpness k, or the periodized
 heat kernel at time t (an image sum over integer shifts of the displacement
@@ -54,12 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .sinkhorn import (
-    DENSE_POINT_CAP,
-    DenseApplicator,
-    LinearDomainApplicator,
-    NumericalAbortError,
-)
+from .sinkhorn import DENSE_POINT_CAP, DenseApplicator, LinearDomainApplicator
 
 try:  # the gufuncs that np.fft.rfft and np.fft.irfft call (numpy 2)
     from numpy.fft import _pocketfft_umath as _pocketfft
@@ -81,10 +57,13 @@ __all__ = [
 _LATTICE_POINT_CAP = 10_000_000
 
 _EPS = np.finfo(float).eps
-# relative accuracy a certified 1-D FFT output is held to
+_TINY = np.finfo(float).tiny
+# the 1-D route trusts an output above k * tiny / CERTIFY_DELTA
 CERTIFY_DELTA = 1e-13
-# elements of kernel rows gathered at once by the exact redo (1 MB)
-_REDO_BLOCK = 1 << 17
+# output rows per BLAS block of the 1-D circulant product
+_BLOCK = 32
+# bytes of input windows the 1-D product gathers at once (1 MB)
+_GATHER_BYTES = 1 << 20
 
 
 class FFTUnderflowError(FloatingPointError):
@@ -131,8 +110,7 @@ class TorusGrid:
 
     def points(self):
         """All lattice points, shape (k^n, n), lexicographic order."""
-        axes = np.meshgrid(*([self.axis] * self.n), indexing="ij")
-        return np.stack(axes, axis=-1).reshape(-1, self.n)
+        return self.displacements().reshape(-1, self.n)
 
     def displacements(self):
         """Displacement lattice delta_j = x_j - x_0, shape (k,)*n + (n,)."""
@@ -365,21 +343,21 @@ def _fft_convolve(profile_hat, shape, vec):
 
 
 class TorusLatticeApplicator(LinearDomainApplicator):
-    """Kernel application on the common lattice, direct or FFT mode.
+    """Kernel application on the common lattice, direct or fast mode.
 
-    mode "direct" always takes the exact log-domain route. mode "fft"
-    convolves in the linear domain by FFT (see LinearDomainApplicator for
-    the shift, the trust check, the fallback to the exact route, counted in
-    .fallbacks, and the abort past DENSE_POINT_CAP points). On the 1-D
-    lattice every FFT output is certified against the FFT's error bound
-    for its input, and the outputs that fail are redone as exact positive
-    sums, counted in .repaired (see the module docstring). The exact
-    route is the circulant log-kernel over DenseApplicator, built on
-    first use.
+    mode "direct" always takes the exact route: the circulant log-kernel
+    over DenseApplicator, built on first use. mode "fft" applies the kernel
+    in the linear domain (see LinearDomainApplicator for the shift, the
+    trust check and the fallback, counted in .fallbacks, or abort past
+    DENSE_POINT_CAP points): by FFT in 2-D and 3-D; in 1-D, under the same
+    name, as the exact circulant product, trusted above k * tiny / 1e-13.
+    Its output block [j0, j0 + B) is H @ w[(j0 + i) mod k], with H[r, i] =
+    profile[(r - i) mod k] the B x k head of the circulant, built at the
+    first apply. The windows of w are rows of a zero-copy view over a
+    doubled w, gathered a few at a time: no k x k matrix is built.
     """
 
-    repaired = 0
-    _rows = None
+    _head_t = None
 
     def __init__(self, grid, spec, p, q, mode="direct"):
         if grid.k != spec.k:
@@ -397,45 +375,49 @@ class TorusLatticeApplicator(LinearDomainApplicator):
         self._log_profile = spec.log_cost_profile(grid)
         self._cost_profile = -self._log_profile / self.k
         if mode == "fft":
-            profile = np.exp(self._log_profile)
-            self._profile_hat = np.fft.rfftn(profile)
             if grid.n == 1:
-                self._profile = profile
-                # the FFT error bound over ||w||_2, divided by delta
-                self._cut_scale = (_EPS * math.log2(grid.k) * float(profile.sum())
-                                   / CERTIFY_DELTA)
-                self._floor = grid.k * np.finfo(float).tiny / CERTIFY_DELTA
+                self._floor = grid.k * _TINY / CERTIFY_DELTA
+            else:
+                self._profile_hat = np.fft.rfftn(np.exp(self._log_profile))
 
     def _linear_apply(self, w):
-        out = _fft_convolve(self._profile_hat, self.grid.shape, w)
-        lo = out.min()
         if self.grid.n == 1:
-            cut = self._cut_scale * math.sqrt(w @ w)
-            if not lo > cut:  # also catches NaN
-                self._redo_exact(out, w, np.flatnonzero(~(out > cut)))
-                lo = out.min()
-        return out, lo
+            return self._circulant_product(w)
+        return _fft_convolve(self._profile_hat, self.grid.shape, w)
 
-    def _redo_exact(self, out, w, flagged):
-        """out[j] = sum_i profile[(j - i) mod k] w_i for each flagged j, in place."""
-        k, count = self.grid.k, flagged.size
-        if k > DENSE_POINT_CAP and count * k > DENSE_POINT_CAP**2:
-            raise NumericalAbortError(
-                f"{count} of {k} fft outputs failed certification; redoing them "
-                f"exactly costs more than one dense application at "
-                f"DENSE_POINT_CAP={DENSE_POINT_CAP} points",
-                {"stage": "fft certification", "points": k, "flagged": int(count),
-                 "dense_point_cap": DENSE_POINT_CAP, "repaired": self.repaired},
-            )
-        if self._rows is None:
-            # row j = reversed profile doubled, from offset k - 1 - j: zero-copy
-            rev = self._profile[::-1]
-            self._rows = sliding_window_view(np.concatenate((rev, rev)), k)
-        block = max(1, _REDO_BLOCK // k)
-        for start in range(0, count, block):
-            idx = flagged[start : start + block]
-            out[idx] = self._rows[k - 1 - idx] @ w
-        self.repaired += count
+    def _circulant_product(self, w):
+        """out[j] = sum_i profile[(j - i) mod k] w_i, B outputs per window.
+
+        Subnormal operands and products slow the BLAS kernel some sixty
+        times, so the head is scaled by 2^S, S = 1022 - bit_length(k), and
+        head entries below 1 and inputs below tiny are dropped: products
+        lie in [tiny, 2^S] and sums stay finite for w <= 1. For sum(w) <= 1
+        the dropped terms add up to less than 3 k tiny per output.
+        """
+        k = self.grid.k
+        if self._head_t is None:
+            block = min(_BLOCK, k)
+            scale = 1022 - k.bit_length()
+            # H.T[i, r] = profile[(r - i) mod k]: windows @ H.T is one block per row
+            head_t = np.ldexp(np.exp(self._log_profile), scale)[
+                (np.arange(block)[None, :] - np.arange(k)[:, None]) % k]
+            head_t[head_t < 1.0] = 0.0
+            self._head_t, self._unscale = head_t, math.ldexp(1.0, -scale)
+            # a window may run past k - 1 into the second copy of w
+            self._doubled = np.empty(2 * k)
+            self._windows = sliding_window_view(self._doubled, k)
+            self._starts = np.arange(0, k, block)
+            self._rows = max(1, _GATHER_BYTES // (8 * k))
+        self._doubled.reshape(2, k)[:] = np.where(w < _TINY, 0.0, w)
+        starts, rows = self._starts, self._rows
+        blocks = np.empty((starts.size, self._head_t.shape[1]))
+        for c in range(0, starts.size, rows):
+            # fancy indexing gathers just these windows (np.take copies the view whole)
+            np.matmul(self._windows[starts[c : c + rows]], self._head_t,
+                      out=blocks[c : c + rows])
+        out = blocks.ravel()[:k]  # past k - 1 the last block repeats outputs 0, 1, ...
+        out *= self._unscale
+        return out
 
     def _build_dense(self):
         return DenseApplicator.from_log_kernel(
@@ -459,5 +441,4 @@ class TorusLatticeApplicator(LinearDomainApplicator):
             "points": self.grid.size,
             "backend": self.mode,
             "fft_fallbacks": self.fallbacks,
-            "fft_repaired": self.repaired,
         }

@@ -265,3 +265,25 @@ class TestValidation:
     def test_non_finite_cloud_rejected(self, tmp_path, text):
         with pytest.raises(ValueError, match="coordinates must be finite"):
             _cloud(tmp_path, text)
+
+
+class TestFlatCoordinates:
+    def test_torus_flat_vector_with_a_weight_per_entry_is_a_column(self):
+        m = DiscreteMeasure("torus", [0.1, 0.5], [0.5, 0.5])
+        assert m.coords.shape == (2, 1)
+        assert_allclose(m.coords.ravel(), [0.1, 0.5])
+
+    def test_flat_vector_with_one_weight_is_one_point(self):
+        m = DiscreteMeasure("torus", [0.1, 0.5], [1.0])
+        assert m.coords.shape == (1, 2)
+
+    def test_sphere_flat_vector_is_one_point(self):
+        # (phi, theta) of one node; two weights do not make it two points
+        m = DiscreteMeasure("sphere", [0.1, 0.5], [1.0])
+        assert m.coords.shape == (1, 2)
+        with pytest.raises(ValueError, match="one weight per point required"):
+            DiscreteMeasure("sphere", [0.1, 0.5], [0.5, 0.5])
+
+    def test_length_mismatch_still_raises(self):
+        with pytest.raises(ValueError, match="one weight per point required"):
+            DiscreteMeasure("torus", [0.1, 0.5, 0.7], [0.5, 0.5])

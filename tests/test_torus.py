@@ -9,7 +9,6 @@ from numpy.testing import assert_allclose
 import oracles
 from geosink.measures import discretize_torus
 from geosink.sinkhorn import (
-    DENSE_POINT_CAP,
     DenseApplicator,
     NumericalAbortError,
     initial_state,
@@ -332,11 +331,11 @@ class TestLatticeApplicator:
         assert np.array_equal(out, ref.softmin_to_target(u))
 
     def test_deep_spike_repaired_without_fallback(self):
-        # on an ordinary weight the exact redo of the flagged outputs is
+        # on an ordinary weight every output of the exact product is
         # representable, so the dense route is never entered
         app, ref, u = self._spike_instance()
         out = app.softmin_to_target(u)
-        assert app.fallbacks == 0 and app.repaired > 0
+        assert app.fallbacks == 0
         assert_allclose(out, ref.softmin_to_target(u), atol=1e-15, rtol=0.0)
 
     def test_underflow_past_the_cap_aborts(self, monkeypatch):
@@ -362,8 +361,9 @@ class TestLatticeApplicator:
         assert app.fallbacks == 0
 
     def test_over_budget_redo_past_the_cap_aborts(self, monkeypatch):
-        # 8192 points: a potential of amplitude 0.01 flags thousands of
-        # outputs, and redoing F of them costs F * k > DENSE_POINT_CAP^2
+        # 8192 points, past the dense cap: a potential of amplitude 0.01
+        # spreads the outputs over many decades, which the exact product
+        # serves without the quadratic route
         grid = TorusGrid(1, 8192)
         spec = TorusKernelSpec("gaussian", 8192)
         w = np.full(grid.size, 1.0 / grid.size)
@@ -374,14 +374,14 @@ class TestLatticeApplicator:
 
         monkeypatch.setattr(app, "_build_dense", quadratic_route)
         u = 0.01 * np.cos(2.0 * np.pi * grid.points().ravel())
-        with pytest.raises(NumericalAbortError, match="certification") as info:
-            app.softmin_to_target(u)
-        diag = info.value.diagnostics
-        assert diag["flagged"] * grid.k > DENSE_POINT_CAP**2
-        message = str(info.value)
-        for figure in (diag["flagged"], grid.size, DENSE_POINT_CAP):
-            assert str(figure) in message
-        assert app.fallbacks == 0 and app.repaired == 0
+        v = app.softmin_to_target(u)
+        assert app.fallbacks == 0
+        scaled = np.exp(-grid.k * (u - u.min())) * w
+        sample = np.arange(0, grid.k, 61)
+        exact = _extended_convolution(np.exp(spec.log_cost_profile(grid)), scaled,
+                                      at=sample)
+        fast = np.exp(grid.k * (v[sample] + u.min()))
+        assert_allclose(fast, exact, rtol=1e-13, atol=0.0)
 
     def test_mode_guard(self):
         with pytest.raises(ValueError):
@@ -420,7 +420,7 @@ class TestCertifiedFFT:
 
     @pytest.mark.parametrize("kind", ["gaussian", "heat"])
     @pytest.mark.parametrize(
-        "k", [128, 384, 1024, pytest.param(4096, marks=pytest.mark.slow)]
+        "k", [8, 127, 128, 384, 1024, pytest.param(4096, marks=pytest.mark.slow)]
     )
     def test_apply_matches_direct(self, kind, k):
         rng = np.random.default_rng(k)
@@ -444,11 +444,12 @@ class TestCertifiedFFT:
     @pytest.mark.parametrize("kind", ["gaussian", "heat"])
     @pytest.mark.parametrize("k", [16, 127, 1000, 4093, 4096])
     def test_fft_error_within_certified_scale(self, kind, k):
-        # the certification cut assumes max_j |error_j| <= S with
-        # S = eps * log2(k) * ||w||_2 * sum(profile); check it against an
-        # extended-precision convolution on spikes, noise, a weight vector
-        # spanning hundreds of decades and scaled cosine potentials, at
-        # odd, prime and power-of-two sizes
+        # the FFT convolution's forward error obeys max_j |error_j| <= S
+        # with S = eps * log2(k) * ||w||_2 * sum(profile), an absolute
+        # bound that swamps small outputs (why the 1-D route is the exact
+        # product); check it against an extended-precision convolution on
+        # spikes, noise, a weight vector spanning hundreds of decades and
+        # scaled cosine potentials, at odd, prime and power-of-two sizes
         rng = np.random.default_rng(k)
         grid = TorusGrid(1, k)
         profile = np.exp(TorusKernelSpec(kind, k).log_cost_profile(grid))
@@ -465,15 +466,41 @@ class TestCertifiedFFT:
             scale = np.finfo(float).eps * np.log2(k) * np.sqrt(w @ w) * profile.sum()
             assert np.abs(out - _extended_convolution(profile, w)).max() <= scale
 
+    @pytest.mark.parametrize("kind", ["gaussian", "heat"])
+    @pytest.mark.parametrize("k", [2, 8, 33, 127, 1000, 4093])
+    def test_product_within_summation_bound(self, kind, k):
+        # each output of the 1-D route is a sum of k positive terms, so its
+        # relative error is at most about k * eps, at any size (below the
+        # block, not a multiple of it, prime) and whatever range it spans
+        rng = np.random.default_rng(k)
+        grid = TorusGrid(1, k)
+        spec = TorusKernelSpec(kind, k)
+        p = np.full(k, 1.0 / k)
+        app = TorusLatticeApplicator(grid, spec, p, p, mode="fft")
+        profile = np.exp(spec.log_cost_profile(grid))
+        x = grid.points().ravel()
+        inputs = [rng.random(k) / k, np.exp(-k * rng.random(k)) / k]
+        for amp in (0.05, 1.0, 3.0):
+            u = amp * np.cos(2.0 * np.pi * 3 * x + 6.0 * rng.random())
+            inputs.append(np.exp(-k * (u - u.min())) * (rng.random(k) + 0.2) / k)
+        for w in inputs:
+            out = app._linear_apply(w)
+            exact = _extended_convolution(profile, w)
+            assert np.all(np.abs(out - exact) <= k * np.finfo(float).eps * exact)
 
-def _extended_convolution(profile, w):
-    """sum_i profile[(j - i) mod k] w_i in extended precision, rounded to float."""
+
+def _extended_convolution(profile, w, at=None):
+    """sum_i profile[(j - i) mod k] w_i in extended precision, rounded to float.
+
+    Computed for every output j, or for the outputs listed in at.
+    """
     k = profile.size
     rev = profile[::-1]
     rows = np.lib.stride_tricks.sliding_window_view(np.concatenate((rev, rev)), k)
     wide = w.astype(np.longdouble)
-    out = np.empty(k)
-    for start in range(0, k, 256):
-        j = np.arange(start, min(k, start + 256))
-        out[j] = rows[k - 1 - j].astype(np.longdouble) @ wide
+    at = np.arange(k) if at is None else np.asarray(at)
+    out = np.empty(at.size)
+    for start in range(0, at.size, 256):
+        j = at[start : start + 256]
+        out[start : start + j.size] = rows[k - 1 - j].astype(np.longdouble) @ wide
     return out

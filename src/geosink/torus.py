@@ -57,13 +57,14 @@ __all__ = [
 _LATTICE_POINT_CAP = 10_000_000
 
 _EPS = np.finfo(float).eps
-_TINY = np.finfo(float).tiny
 # the 1-D route trusts an output above k * tiny / CERTIFY_DELTA
 CERTIFY_DELTA = 1e-13
 # output rows per BLAS block of the 1-D circulant product
 _BLOCK = 32
-# bytes of input windows the 1-D product gathers at once (1 MB)
-_GATHER_BYTES = 1 << 20
+# OpenBLAS runs a GEMM of m * n * k <= 65536 * 4 multiply-adds on one
+# thread (its GEMM_MULTITHREAD_THRESHOLD); a shared pool's threads can wait
+# on each other for milliseconds under load
+_GEMM_SERIAL = 1 << 18
 
 
 class FFTUnderflowError(FloatingPointError):
@@ -110,7 +111,8 @@ class TorusGrid:
 
     def points(self):
         """All lattice points, shape (k^n, n), lexicographic order."""
-        return self.displacements().reshape(-1, self.n)
+        axes = np.meshgrid(*([self.axis] * self.n), indexing="ij")
+        return np.stack(axes, axis=-1).reshape(-1, self.n)
 
     def displacements(self):
         """Displacement lattice delta_j = x_j - x_0, shape (k,)*n + (n,)."""
@@ -376,7 +378,7 @@ class TorusLatticeApplicator(LinearDomainApplicator):
         self._cost_profile = -self._log_profile / self.k
         if mode == "fft":
             if grid.n == 1:
-                self._floor = grid.k * _TINY / CERTIFY_DELTA
+                self._floor = grid.k * np.finfo(float).tiny / CERTIFY_DELTA
             else:
                 self._profile_hat = np.fft.rfftn(np.exp(self._log_profile))
 
@@ -388,36 +390,31 @@ class TorusLatticeApplicator(LinearDomainApplicator):
     def _circulant_product(self, w):
         """out[j] = sum_i profile[(j - i) mod k] w_i, B outputs per window.
 
-        Subnormal operands and products slow the BLAS kernel some sixty
-        times, so the head is scaled by 2^S, S = 1022 - bit_length(k), and
-        head entries below 1 and inputs below tiny are dropped: products
-        lie in [tiny, 2^S] and sums stay finite for w <= 1. For sum(w) <= 1
-        the dropped terms add up to less than 3 k tiny per output.
+        Each BLAS product takes at least two windows (one alone would go to
+        GEMV) and, up to k = 4096, at most _GEMM_SERIAL multiply-adds, so
+        it runs on one thread whatever the size of the BLAS pool.
         """
         k = self.grid.k
         if self._head_t is None:
             block = min(_BLOCK, k)
-            scale = 1022 - k.bit_length()
-            # H.T[i, r] = profile[(r - i) mod k]: windows @ H.T is one block per row
-            head_t = np.ldexp(np.exp(self._log_profile), scale)[
-                (np.arange(block)[None, :] - np.arange(k)[:, None]) % k]
-            head_t[head_t < 1.0] = 0.0
-            self._head_t, self._unscale = head_t, math.ldexp(1.0, -scale)
+            profile = np.exp(self._log_profile)
+            # H.T[i, r] = profile[(r - i) mod k]: row i reads the profile from (k - i) mod k
+            self._head_t = sliding_window_view(
+                np.concatenate((profile, profile[:block])), block)[:0:-1].copy()
             # a window may run past k - 1 into the second copy of w
             self._doubled = np.empty(2 * k)
             self._windows = sliding_window_view(self._doubled, k)
             self._starts = np.arange(0, k, block)
-            self._rows = max(1, _GATHER_BYTES // (8 * k))
-        self._doubled.reshape(2, k)[:] = np.where(w < _TINY, 0.0, w)
+            self._rows = max(2, _GEMM_SERIAL // (block * k))
+        self._doubled.reshape(2, k)[:] = w
         starts, rows = self._starts, self._rows
         blocks = np.empty((starts.size, self._head_t.shape[1]))
         for c in range(0, starts.size, rows):
+            c = max(0, min(c, starts.size - rows))  # the last product redoes a few windows
             # fancy indexing gathers just these windows (np.take copies the view whole)
             np.matmul(self._windows[starts[c : c + rows]], self._head_t,
                       out=blocks[c : c + rows])
-        out = blocks.ravel()[:k]  # past k - 1 the last block repeats outputs 0, 1, ...
-        out *= self._unscale
-        return out
+        return blocks.ravel()[:k]  # past k - 1 the last block repeats outputs 0, 1, ...
 
     def _build_dense(self):
         return DenseApplicator.from_log_kernel(

@@ -467,11 +467,12 @@ class TestCertifiedFFT:
             assert np.abs(out - _extended_convolution(profile, w)).max() <= scale
 
     @pytest.mark.parametrize("kind", ["gaussian", "heat"])
-    @pytest.mark.parametrize("k", [2, 8, 33, 127, 1000, 4093])
+    @pytest.mark.parametrize("k", [2, 8, 33, 127, 1000, 1500, 4093])
     def test_product_within_summation_bound(self, kind, k):
         # each output of the 1-D route is a sum of k positive terms, so its
         # relative error is at most about k * eps, at any size (below the
-        # block, not a multiple of it, prime) and whatever range it spans
+        # block, not a multiple of it, prime, a window count the BLAS
+        # products do not divide) and whatever range it spans
         rng = np.random.default_rng(k)
         grid = TorusGrid(1, k)
         spec = TorusKernelSpec(kind, k)
@@ -488,6 +489,28 @@ class TestCertifiedFFT:
             exact = _extended_convolution(profile, w)
             assert np.all(np.abs(out - exact) <= k * np.finfo(float).eps * exact)
 
+
+    @pytest.mark.parametrize("k", [16, 384, 1000, 2500, 4096])
+    def test_products_stay_single_threaded(self, monkeypatch, k):
+        # OpenBLAS runs a GEMM of at most 2^18 multiply-adds on one thread,
+        # and a single window would go to GEMV, which threads from k = 288
+        shapes = []
+        matmul = np.matmul
+
+        def spy(a, b, **kwargs):
+            shapes.append((a.shape, b.shape))
+            return matmul(a, b, **kwargs)
+
+        grid = TorusGrid(1, k)
+        p = np.full(k, 1.0 / k)
+        app = TorusLatticeApplicator(grid, TorusKernelSpec("gaussian", k), p, p, mode="fft")
+        monkeypatch.setattr(np, "matmul", spy)
+        app._linear_apply(p)
+        assert shapes
+        for (rows, n), (n2, block) in shapes:
+            assert n == n2 == k
+            assert rows >= min(2, -(-k // block))
+            assert rows * n * block <= 1 << 18
 
 def _extended_convolution(profile, w, at=None):
     """sum_i profile[(j - i) mod k] w_i in extended precision, rounded to float.

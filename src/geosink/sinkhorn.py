@@ -21,6 +21,14 @@ after every full step; the target marginal error is the quantity that
 decays along the run, and it is what the stopping rule watches. Energy
 bookkeeping uses F(u) = <p, u> + <q, v[u]>, which never increases.
 
+Every softmin_to_* call returns a fresh array that no later call writes
+into: run_until keeps three of them across steps and callers keep the
+returned potentials. What a backend needs inside an application (the
+linear-domain weights, transform spectra, product blocks) lives in
+buffers the backend owns and reuses, so one application of a torus fast
+route allocates nothing of the support's size except the array it
+returns (the sphere route keeps fresh temporaries; see sphere.py).
+
 Iterates are kept raw during the run (the dynamic-in-m comparisons need
 unnormalized values); normalization to u(base) = 0 happens at readout,
 with the compensating shift applied to v so the plan is untouched.
@@ -172,6 +180,12 @@ def run_until(state, kern, tol, A=2.0, m_max=None):
     trace bookkeeping: the trailing softmin w = v[u_{m+1}] that measures
     the target-marginal error is exactly the next step's v-update, so it
     is reused. e_row is 0, as the u-update makes the source marginal exact.
+
+    The finiteness of each softmin output is screened through the dot
+    product with p or q that the step takes anyway (any NaN or inf entry
+    makes it non-finite); only a non-finite screen runs the full check,
+    which raises NumericalAbortError naming the stage, m and the count of
+    bad entries.
     """
     if m_max is None:
         m_max = m_max_schedule(float(kern.k), A)
@@ -183,6 +197,8 @@ def run_until(state, kern, tol, A=2.0, m_max=None):
     u = state.u.values.copy()
     v_cur = state.v.values
     v_next = None
+    n_x, n_y = len(kern.p), len(kern.q)
+    scratch = np.empty(max(n_x, n_y))
     trace_list = list(state.trace)
     m = state.m
     flat = 0
@@ -192,19 +208,30 @@ def run_until(state, kern, tol, A=2.0, m_max=None):
         m += 1
         if v_next is None:
             v_next = kern.softmin_to_target(u)
-            _check_finite(v_next, "v-update", m)
+            if not np.isfinite(kern.q @ v_next):
+                _check_finite(v_next, "v-update", m)
         u_next = kern.softmin_to_source(v_next)
-        _check_finite(u_next, "u-update", m)
-        w = kern.softmin_to_target(u_next)
-        _check_finite(w, "trace softmin", m)
         I_mu = float(kern.p @ u_next)
+        if not np.isfinite(I_mu):
+            _check_finite(u_next, "u-update", m)
+        w = kern.softmin_to_target(u_next)
+        qw = float(kern.q @ w)
+        if not np.isfinite(qw):
+            _check_finite(w, "trace softmin", m)
+        # e_col = sum |q (e^{k (w - v_next)} - 1)|, then sup |u_next - u|
+        d = np.subtract(w, v_next, out=scratch[:n_y])
+        d *= kern.k
+        np.expm1(d, out=d)
+        d *= kern.q
+        e_col = float(np.abs(d, out=d).sum())
+        d = np.subtract(u_next, u, out=scratch[:n_x])
         record = TraceRecord(
             m=m,
-            F=I_mu + float(kern.q @ w),
+            F=I_mu + qw,
             I_mu=I_mu,
             e_row=0.0,
-            e_col=float(np.abs(kern.q * np.expm1(kern.k * (w - v_next))).sum()),
-            sup_change=float(np.max(np.abs(u_next - u))),
+            e_col=e_col,
+            sup_change=float(np.abs(d, out=d).max()),
             wall_time_ms=(time.perf_counter() - t0) * 1e3,
         )
         trace_list.append(record)
@@ -411,12 +438,16 @@ class LinearDomainApplicator:
     """Core of the fast routes (torus product and FFT, sphere SHT).
 
     Subclasses set mode and supply _linear_apply(w), the kernel on a
-    positive vector, and _build_dense, the same kernel as a
-    DenseApplicator. An application shifts by the minimum of the
-    potential, so the largest scaled weight is exactly 1, applies the
-    kernel in the linear domain and takes the log back, but only when the
-    output's minimum exceeds the route's _floor (NaN never does): this is
-    the one trust check of the fast routes. The floor is 0, or
+    positive vector (it may return a buffer it owns and overwrites on the
+    next call), and _build_dense, the same kernel as a DenseApplicator. An
+    application shifts by the minimum of the potential, so the largest
+    scaled weight is exactly 1 (a NaN or -inf entry makes that minimum
+    non-finite and raises ValueError), forms the weights (_weights, in a
+    scratch vector of the applicator), applies the kernel in the linear
+    domain and takes the log back (_log_back, into the one fresh array the
+    application returns), but only when the output's minimum exceeds the
+    route's _floor (NaN never does): this is the one trust check of the
+    fast routes. The floor is 0, or
     k * tiny / 1e-13 on the exact 1-D torus product (see geosink.torus).
     An untrusted application is redone on the dense route, built on first
     use and counted in .fallbacks; past DENSE_POINT_CAP points, where that
@@ -427,6 +458,7 @@ class LinearDomainApplicator:
     fallbacks = 0
     _dense = None
     _floor = 0.0
+    _scratch = None
 
     def __init__(self, k, p, q):
         self.k = float(k)
@@ -443,10 +475,11 @@ class LinearDomainApplicator:
         values = np.asarray(values, dtype=float)
         if self.mode != "direct":
             shift = values.min()
-            w = np.exp(-self.k * (values - shift) + log_weights)
-            out = self._linear_apply(w)
+            if not np.isfinite(shift):  # a NaN or -inf entry, or every entry +inf
+                raise ValueError("potential contains non-finite entries")
+            out = self._linear_apply(self._weights(values, shift, log_weights))
             if out.min() > self._floor:
-                return np.log(out) / self.k - shift
+                return self._log_back(out, shift)
             if self.size > DENSE_POINT_CAP:
                 raise NumericalAbortError(
                     f"linear-domain kernel application underflowed double "
@@ -463,6 +496,22 @@ class LinearDomainApplicator:
         if to_target:
             return self._dense.softmin_to_target(values)
         return self._dense.softmin_to_source(values)
+
+    def _weights(self, values, shift, log_weights):
+        """exp(-k (values - shift) + log_weights), formed in the scratch vector."""
+        if self._scratch is None:
+            self._scratch = np.empty(max(self.p.size, self.q.size))
+        w = np.subtract(values, shift, out=self._scratch[: values.size])
+        w *= -self.k
+        w += log_weights
+        return np.exp(w, out=w)
+
+    def _log_back(self, out, shift):
+        """log(out) / k - shift, in the one fresh array the application returns."""
+        out = np.log(out)
+        out /= self.k
+        out -= shift
+        return out
 
     def softmin_to_target(self, u):
         """v(y_j) = log(sum_i exp(-k(c_ij + u_i)) p_i) / k."""

@@ -333,14 +333,21 @@ def fft_apply(profile, vec):
     return out
 
 
-def _fft_convolve(profile_hat, shape, vec):
-    """The circular convolution of fft_apply, unchecked."""
+def _fft_convolve(profile_hat, shape, vec, spectrum=None, out=None):
+    """The circular convolution of fft_apply, unchecked.
+
+    In 2-D and 3-D it writes into spectrum (complex, profile_hat's shape)
+    and out (float, shape) when they are given, and allocates them when
+    not. The inverse makes np.fft.irfftn's calls, its complex passes in
+    place, so no temporary spectrum is built.
+    """
     if len(shape) == 1:
         return _irfft(_rfft(vec) * profile_hat, shape[0])
-    axes = tuple(range(len(shape)))
-    return np.fft.irfftn(
-        np.fft.rfftn(vec.reshape(shape)) * profile_hat, s=shape, axes=axes
-    ).ravel()
+    spectrum = np.fft.rfftn(vec.reshape(shape), out=spectrum)
+    spectrum *= profile_hat
+    for axis in range(len(shape) - 1):
+        np.fft.ifft(spectrum, axis=axis, out=spectrum)
+    return np.fft.irfft(spectrum, n=shape[-1], out=out).ravel()
 
 
 
@@ -381,11 +388,15 @@ class TorusLatticeApplicator(LinearDomainApplicator):
                 self._floor = grid.k * np.finfo(float).tiny / CERTIFY_DELTA
             else:
                 self._profile_hat = np.fft.rfftn(np.exp(self._log_profile))
+                self._spectrum = np.empty_like(self._profile_hat)
+                self._out = np.empty(grid.shape)
 
     def _linear_apply(self, w):
+        """The kernel on w, in a buffer the applicator reuses."""
         if self.grid.n == 1:
             return self._circulant_product(w)
-        return _fft_convolve(self._profile_hat, self.grid.shape, w)
+        return _fft_convolve(self._profile_hat, self.grid.shape, w,
+                             self._spectrum, self._out)
 
     def _circulant_product(self, w):
         """out[j] = sum_i profile[(j - i) mod k] w_i, B outputs per window.
@@ -406,9 +417,9 @@ class TorusLatticeApplicator(LinearDomainApplicator):
             self._windows = sliding_window_view(self._doubled, k)
             self._starts = np.arange(0, k, block)
             self._rows = max(2, _GEMM_SERIAL // (block * k))
+            self._blocks = np.empty((self._starts.size, block))
         self._doubled.reshape(2, k)[:] = w
-        starts, rows = self._starts, self._rows
-        blocks = np.empty((starts.size, self._head_t.shape[1]))
+        starts, rows, blocks = self._starts, self._rows, self._blocks
         for c in range(0, starts.size, rows):
             c = max(0, min(c, starts.size - rows))  # the last product redoes a few windows
             # fancy indexing gathers just these windows (np.take copies the view whole)

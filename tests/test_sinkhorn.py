@@ -8,8 +8,10 @@ from numpy.testing import assert_allclose
 
 import oracles
 from geosink.parabolic import c_transform
+from geosink.measures import discretize_torus
 from geosink.sinkhorn import (
     DenseApplicator,
+    NumericalAbortError,
     Potential,
     energy_diagnostics,
     entropic_cost,
@@ -24,6 +26,7 @@ from geosink.sinkhorn import (
     sinkhorn_step,
     softmin_update,
 )
+from geosink.sphere import SphereKernelSpec, SphereSHTApplicator, SphericalGrid
 from geosink.torus import TorusGrid, TorusKernelSpec, TorusLatticeApplicator
 
 
@@ -244,6 +247,103 @@ class TestRunUntil:
         assert [r.m for r in state.trace] == list(range(1, state.m + 1))
         for r in state.trace:
             assert r.e_row == 0.0
+
+
+class _Injecting:
+    """Dense backend whose call number `at` (from 1) returns two bad entries."""
+
+    def __init__(self, at, bad, rng):
+        n = 6
+        p = rng.random(n) + 0.2
+        q = rng.random(n) + 0.2
+        self._inner = DenseApplicator(3.0, p / p.sum(), q / q.sum(), rng.random((n, n)))
+        self.k, self.p, self.q = self._inner.k, self._inner.p, self._inner.q
+        self.at, self.bad, self.calls = at, bad, 0
+
+    def _out(self, out):
+        self.calls += 1
+        if self.calls == self.at:
+            out[[1, 4]] = self.bad
+        return out
+
+    def softmin_to_target(self, u):
+        return self._out(self._inner.softmin_to_target(u))
+
+    def softmin_to_source(self, v):
+        return self._out(self._inner.softmin_to_source(v))
+
+
+class TestFinitenessGuard:
+    # the calls of run_until: 1 is step 1's v-update, then each step m
+    # takes a u-update (call 2m) and the trace softmin (call 2m + 1)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("at, stage, m", [(1, "v-update", 1), (4, "u-update", 2),
+                                              (5, "trace softmin", 2)])
+    def test_injected_entry_aborts_at_its_stage(self, rng, bad, at, stage, m):
+        kern = _Injecting(at, bad, rng)
+        with pytest.raises(NumericalAbortError) as info:
+            run_until(initial_state(kern), kern, tol=None, m_max=5)
+        assert str(info.value) == f"non-finite values after {stage} at iteration {m}"
+        assert info.value.diagnostics == {"stage": stage, "m": m, "bad_entries": 2}
+        assert kern.calls == at
+
+    def test_finite_run_is_not_stopped(self, rng):
+        kern = _Injecting(0, np.nan, rng)
+        state = run_until(initial_state(kern), kern, tol=None, m_max=5)
+        assert state.m == 5 and kern.calls == 11
+
+
+def _product_weights(k, n):
+    f = " + ".join(f"{a}*(1-cos(2*pi*x{i + 1}))" for i, a in enumerate((3, 1, 0.5)[:n]))
+    g = " + ".join(f"{a}*(1-cos(2*pi*(x{i + 1}-{s})))"
+                   for i, (a, s) in enumerate(((3, 0.375), (1, 0.25), (0.5, 0.125))[:n]))
+    return discretize_torus(f, k, n).weights, discretize_torus(g, k, n).weights
+
+
+def _fast_applicator(kind):
+    if kind == "sphere":
+        grid = SphericalGrid(16)
+        w = grid.node_weights
+        return SphereSHTApplicator(grid, SphereKernelSpec("heat", 8), w, w)
+    n, k = {"torus-1d": (1, 64), "torus-2d": (2, 16), "torus-3d": (3, 8)}[kind]
+    p, q = _product_weights(k, n)
+    return TorusLatticeApplicator(TorusGrid(n, k), TorusKernelSpec("gaussian", k), p, q,
+                                  mode="fft")
+
+
+class TestFreshOutputs:
+    # every softmin_to_* result is a new array no later call writes into,
+    # although the fast routes run in buffers they keep between calls
+    @pytest.mark.parametrize("kind", ["torus-1d", "torus-2d", "torus-3d", "sphere"])
+    def test_results_survive_later_applies(self, rng, kind):
+        kern = _fast_applicator(kind)
+        n = kern.size
+        first = [kern.softmin_to_target(0.01 * rng.random(n)),
+                 kern.softmin_to_source(0.01 * rng.random(n))]
+        kept = [a.copy() for a in first]
+        later = [kern.softmin_to_target(0.01 * rng.random(n)),
+                 kern.softmin_to_source(0.01 * rng.random(n)),
+                 kern.softmin_to_target(first[1]),
+                 kern.softmin_to_source(first[0])]
+        for a, b in zip(first, kept):
+            assert np.array_equal(a, b)
+            assert not any(np.shares_memory(a, c) for c in later)
+        assert not np.shares_memory(later[0], later[1])
+        assert not np.shares_memory(later[2], later[3])
+        assert kern.fallbacks == 0
+
+    @pytest.mark.parametrize("kind", ["torus-1d", "torus-2d", "torus-3d", "sphere"])
+    def test_run_until_potentials_survive_a_second_run(self, rng, kind):
+        kern = _fast_applicator(kind)
+        one = run_until(initial_state(kern), kern, tol=None, m_max=4)
+        kept = one.u.values.copy(), one.v.values.copy()
+        two = run_until(initial_state(kern, u0=0.01 * rng.random(kern.size)), kern,
+                        tol=None, m_max=4)
+        assert np.array_equal(one.u.values, kept[0])
+        assert np.array_equal(one.v.values, kept[1])
+        for a in (one.u.values, one.v.values):
+            for b in (two.u.values, two.v.values):
+                assert not np.shares_memory(a, b)
 
 
 class TestMarginalErrors:

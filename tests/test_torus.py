@@ -1,5 +1,7 @@
 """Torus lattice geometry, kernels, and the two application backends."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -386,6 +388,70 @@ class TestLatticeApplicator:
     def test_mode_guard(self):
         with pytest.raises(ValueError):
             _lattice_instance(8, 1, np.random.default_rng(0), "spectral")
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    @pytest.mark.parametrize("k", [32, 128])  # under and past the dense cap
+    def test_non_finite_potential_rejected(self, monkeypatch, bad, k):
+        grid = TorusGrid(2, k)
+        w = np.full(grid.size, 1.0 / grid.size)
+        app = TorusLatticeApplicator(grid, TorusKernelSpec("gaussian", k), w, w, mode="fft")
+
+        def quadratic_route():
+            raise AssertionError("entered the quadratic route")
+
+        monkeypatch.setattr(app, "_build_dense", quadratic_route)
+        u = np.zeros(grid.size)
+        u[5] = bad
+        for apply in (app.softmin_to_target, app.softmin_to_source):
+            with pytest.raises(ValueError, match="non-finite"):
+                apply(u)
+        with pytest.raises(ValueError, match="non-finite"):
+            app.softmin_to_target(np.full(grid.size, np.inf))
+        assert app.fallbacks == 0
+
+
+class TestStepAllocation:
+    # a fast 2-D step allocates the two potentials it returns and nothing
+    # else of the lattice's size; temporaries freed and re-allocated every
+    # step made glibc trim and re-fault them (29 minor faults per step)
+    K = 192
+
+    @pytest.fixture(scope="class")
+    def warm(self):
+        f = "3*(1-cos(2*pi*x1)) + (1-cos(2*pi*x2))"
+        g = "3*(1-cos(2*pi*(x1-0.375))) + (1-cos(2*pi*(x2-0.25)))"
+        p = discretize_torus(f, self.K, 2).weights
+        q = discretize_torus(g, self.K, 2).weights
+        app = TorusLatticeApplicator(TorusGrid(2, self.K),
+                                     TorusKernelSpec("gaussian", self.K), p, q, mode="fft")
+        return app, run_until(initial_state(app), app, tol=None, m_max=3)
+
+    @staticmethod
+    def _peak_arrays(fn, size):
+        """Peak traced memory fn() adds, in arrays of size floats."""
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            fn()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return (peak - before) / (8 * size)
+
+    def test_apply_allocates_only_its_result(self, warm):
+        app, state = warm
+        for apply in (app.softmin_to_target, app.softmin_to_source):
+            assert self._peak_arrays(lambda: apply(state.u.values), app.size) < 1.1
+
+    def test_steps_allocate_only_their_potentials(self, warm):
+        # run_until holds u, v and the next v across steps and one scratch
+        # array: four arrays, plus the two fresh potentials of the step
+        # in flight
+        app, state = warm
+        for steps in (1, 20):
+            peak = self._peak_arrays(
+                lambda: run_until(state, app, tol=None, m_max=state.m + steps), app.size)
+            assert peak < 6.2
 
 
 SMOOTH_F = "3*(1-cos(2*pi*x1))"

@@ -1,10 +1,10 @@
 """Batch command line driver.
 
-Subcommands: `transport {torus|sphere}` runs the scaling iteration from a
-JSON config and writes potentials/trace/summary artifacts; `antenna`
-solves the reflector problem on the sphere; `parabolic` runs the
-finite-difference reference flow; `diagnose` runs self-check suites
-(stationary-phase, density, sht, bench) and reports pass/fail.
+Subcommands: `transport {torus|sphere}` and `antenna` run the scaling
+iteration from a JSON config and write potentials/trace/summary artifacts
+(`antenna` adds the reflector's); `parabolic` runs the finite-difference
+reference flow; `diagnose` runs self-check suites (stationary-phase,
+density, sht, bench) and reports pass/fail.
 
 Configs are single JSON objects with explicit constants; the summary
 echoes the fully resolved config so a run is reproducible from its own
@@ -66,34 +66,44 @@ def _load_config(path):
     return cfg
 
 
-def _resolve(cfg, schema, command):
-    """Apply defaults and reject unknown keys; returns the resolved dict."""
+def _setup(config_path, schema, command, threads, out_path, **overrides):
+    """The preamble every command shares; returns (resolved config, out dir).
+
+    Pins the thread pools, rejects unknown keys, applies the schema's
+    defaults and then the CLI overrides that were given, and checks the
+    manifold. A callable default is derived last from the resolved config
+    (the step cap, the sphere bandwidth), so the summary echoes its value.
+    """
+    _set_threads(threads)
+    cfg = _load_config(config_path) if config_path else {}
     unknown = sorted(set(cfg) - set(schema))
     if unknown:
         raise ConfigError(f"unknown config keys for {command}: {unknown}")
-    out = {}
     for key, default in schema.items():
-        if key in cfg:
-            out[key] = cfg[key]
-        elif default is _REQUIRED:
+        if key not in cfg and default is _REQUIRED:
             raise ConfigError(f"{command}: missing required config key {key!r}")
-        else:
-            out[key] = default
-    return out
-
-
-def _resolve_m_max(cfg):
-    """Fill a missing m_max from the step schedule, so the summary echoes it."""
-    if cfg["m_max"] is None:
-        from .sinkhorn import m_max_schedule
-
-        cfg["m_max"] = m_max_schedule(cfg["k"], cfg["A"])
-
-
-def _out_dir(path):
-    out = Path(path)
+        cfg.setdefault(key, None if callable(default) else default)
+    cfg.update((key, val) for key, val in overrides.items() if val is not None)
+    if cfg.get("manifold") != schema.get("manifold"):
+        raise ConfigError(
+            f"config manifold is {cfg['manifold']!r}, expected {schema['manifold']}"
+        )
+    for key, default in schema.items():
+        if callable(default) and cfg[key] is None:
+            cfg[key] = default(cfg)
+    out = Path(out_path)
     out.mkdir(parents=True, exist_ok=True)
-    return out
+    return cfg, out
+
+
+def _default_m_max(cfg):
+    from .sinkhorn import m_max_schedule
+
+    return m_max_schedule(cfg["k"], cfg["A"])
+
+
+def _default_W(cfg):
+    return 2 * cfg["k"]
 
 
 def _fmt(value):
@@ -176,14 +186,78 @@ def _guard_numerics(work, out):
         raise ConfigError(str(exc))
 
 
-def _trace_rows(state):
-    return [
-        (r.m, r.F, r.I_mu, r.e_row, r.e_col, r.sup_change, r.wall_time_ms)
-        for r in state.trace
-    ]
-
-
 _TRACE_HEADER = ("m", "F", "I_mu", "e_row", "e_col", "sup_change", "wall_time_ms")
+
+
+def _solve_and_report(cfg, out, coord_header, applicator, xs, ys, extras=None):
+    """Solve to cfg's stop rule and write what every Sinkhorn command reports.
+
+    Writes potentials.csv (potentials_target.csv too when the supports
+    differ), trace.csv and summary.json, and echoes one line. `extras`, if
+    given, takes the normalized source potential u, writes its own
+    artifacts and returns further summary fields.
+    """
+    import numpy as np
+
+    from .sinkhorn import (
+        entropic_cost,
+        initial_state,
+        marginal_errors,
+        normalized_potentials,
+        run_until,
+    )
+
+    t0 = time.perf_counter()
+    state = initial_state(applicator)
+    state = run_until(state, applicator, tol=cfg["tol"], A=cfg["A"], m_max=cfg["m_max"])
+    wall_ms = (time.perf_counter() - t0) * 1e3
+    e_row, e_col = marginal_errors(state, applicator)
+    cost = entropic_cost(state, applicator)
+    u, v = normalized_potentials(state)
+
+    shared = xs is ys or (
+        len(u) == len(v) and np.array_equal(np.asarray(xs), np.asarray(ys))
+    )
+    if shared:
+        header = coord_header + ("u", "v")
+        rows = [tuple(x) + (u[i], v[i]) for i, x in enumerate(xs)]
+    else:
+        header = coord_header + ("u",)
+        rows = [tuple(x) + (u[i],) for i, x in enumerate(xs)]
+        _write_csv(
+            out / "potentials_target.csv",
+            coord_header + ("v",),
+            [tuple(y) + (v[j],) for j, y in enumerate(ys)],
+        )
+    _write_csv(out / "potentials.csv", header, rows)
+    _write_csv(
+        out / "trace.csv",
+        _TRACE_HEADER,
+        [(r.m, r.F, r.I_mu, r.e_row, r.e_col, r.sup_change, r.wall_time_ms)
+         for r in state.trace],
+    )
+    summary = {
+        "config": cfg,
+        "k": cfg["k"],
+        "N": int(len(u)),
+        "m_stop": state.m,
+        "stop_reason": state.stop_reason,
+        "entropic_cost": cost,
+        "cost_warning": state.cost_warning,
+        "e_row": e_row,
+        "e_col": e_col,
+        "m_max": cfg["m_max"],
+        "backend": applicator.describe(),
+        "wall_time_ms": wall_ms,
+        "environment": _environment(),
+    }
+    if extras is not None:
+        summary.update(extras(u))
+    _write_json(out / "summary.json", summary)
+    click.echo(
+        f"stop={state.stop_reason} m={state.m} cost={cost:.6g} "
+        f"err=({e_row:.3g},{e_col:.3g}) -> {out}"
+    )
 
 
 @click.group()
@@ -213,7 +287,7 @@ _TORUS_SCHEMA = {
     "t": None,
     "tol": 1e-9,
     "A": 2.0,
-    "m_max": None,
+    "m_max": _default_m_max,
 }
 
 
@@ -260,63 +334,6 @@ def _build_torus_applicator(cfg, renormalize):
     return app, xs, ys
 
 
-def _run_transport(applicator, cfg, out, coord_header, xs, ys):
-    from .sinkhorn import (
-        entropic_cost,
-        initial_state,
-        marginal_errors,
-        normalized_potentials,
-        run_until,
-    )
-
-    t0 = time.perf_counter()
-    state = initial_state(applicator)
-    state = run_until(state, applicator, tol=cfg["tol"], A=cfg["A"], m_max=cfg["m_max"])
-    wall_ms = (time.perf_counter() - t0) * 1e3
-    e_row, e_col = marginal_errors(state, applicator)
-    cost = entropic_cost(state, applicator)
-    u, v = normalized_potentials(state)
-
-    import numpy as np
-
-    shared = xs is ys or (
-        len(u) == len(v) and np.array_equal(np.asarray(xs), np.asarray(ys))
-    )
-    if shared:
-        header = coord_header + ("u", "v")
-        rows = [tuple(x) + (u[i], v[i]) for i, x in enumerate(xs)]
-    else:
-        header = coord_header + ("u",)
-        rows = [tuple(x) + (u[i],) for i, x in enumerate(xs)]
-        _write_csv(
-            out / "potentials_target.csv",
-            coord_header + ("v",),
-            [tuple(y) + (v[j],) for j, y in enumerate(ys)],
-        )
-    _write_csv(out / "potentials.csv", header, rows)
-    _write_csv(out / "trace.csv", _TRACE_HEADER, _trace_rows(state))
-    summary = {
-        "config": cfg,
-        "k": cfg["k"],
-        "N": int(len(u)),
-        "m_stop": state.m,
-        "stop_reason": state.stop_reason,
-        "entropic_cost": cost,
-        "cost_warning": state.cost_warning,
-        "e_row": e_row,
-        "e_col": e_col,
-        "m_max": cfg["m_max"],
-        "backend": applicator.describe(),
-        "wall_time_ms": wall_ms,
-        "environment": _environment(),
-    }
-    _write_json(out / "summary.json", summary)
-    click.echo(
-        f"stop={state.stop_reason} m={state.m} cost={cost:.6g} "
-        f"err=({e_row:.3g},{e_col:.3g}) -> {out}"
-    )
-
-
 @transport.command("torus")
 @click.option("--config", "config_path", required=True, type=click.Path())
 @click.option("--backend", type=click.Choice(["direct", "fft"]), default=None)
@@ -328,24 +345,12 @@ def _run_transport(applicator, cfg, out, coord_header, xs, ys):
 def transport_torus(config_path, backend, out_path, threads, renormalize,
                     k_override, a_override):
     """Solve a torus transport instance from a JSON config."""
-    _set_threads(threads)
-    cfg = _resolve(_load_config(config_path), _TORUS_SCHEMA, "transport torus")
-    if backend is not None:
-        cfg["backend"] = backend
-    if k_override is not None:
-        cfg["k"] = k_override
-    if a_override is not None:
-        cfg["A"] = a_override
-    if cfg["manifold"] != "torus":
-        raise ConfigError(f"config manifold is {cfg['manifold']!r}, expected torus")
-    _resolve_m_max(cfg)
-    out = _out_dir(out_path)
+    cfg, out = _setup(config_path, _TORUS_SCHEMA, "transport torus", threads, out_path,
+                      backend=backend, k=k_override, A=a_override)
 
     def work():
-        applicator, xs, ys = _build_torus_applicator(cfg, renormalize)
-        header = tuple(f"x{i + 1}" for i in range(cfg["n"]))
-        _run_transport(applicator, cfg, out, header, xs, ys)
-        return 0
+        built = _build_torus_applicator(cfg, renormalize)
+        _solve_and_report(cfg, out, tuple(f"x{i + 1}" for i in range(cfg["n"])), *built)
 
     return _guard_numerics(work, out)
 
@@ -357,8 +362,7 @@ def transport_torus(config_path, backend, out_path, threads, renormalize,
 _SPHERE_SCHEMA = {
     "manifold": "sphere",
     "k": _REQUIRED,
-    "W": None,
-    "R": 2.0,
+    "W": _default_W,
     "f": None,
     "g": None,
     "source_cloud": None,
@@ -367,11 +371,11 @@ _SPHERE_SCHEMA = {
     "t": None,
     "tol": 1e-9,
     "A": 2.0,
-    "m_max": None,
+    "m_max": _default_m_max,
 }
 
 
-def _sphere_cloud_applicator(cfg, renormalize, W):
+def _sphere_cloud_applicator(cfg, renormalize):
     from .measures import load_point_cloud
     from .sinkhorn import DenseApplicator
     from .sphere import SphereKernelSpec, positive_heat_multipliers, sphere_embed
@@ -390,7 +394,8 @@ def _sphere_cloud_applicator(cfg, renormalize, W):
         sides.append(m)
     src, tgt = sides
     k = cfg["k"]
-    mult = positive_heat_multipliers(SphereKernelSpec("heat", k, cfg["t"]).heat_time, W)
+    heat_time = SphereKernelSpec("heat", k, cfg["t"]).heat_time
+    mult = positive_heat_multipliers(heat_time, cfg["W"])
     a = sphere_embed(src.coords[:, 0], src.coords[:, 1])
     b = sphere_embed(tgt.coords[:, 0], tgt.coords[:, 1])
     app = DenseApplicator.from_log_kernel(
@@ -399,9 +404,9 @@ def _sphere_cloud_applicator(cfg, renormalize, W):
     return app, src.coords, tgt.coords
 
 
-def _build_sphere_applicator(cfg, renormalize):
-    import numpy as np
-
+def _build_sphere_applicator(cfg, renormalize=False, kind="heat"):
+    """(applicator, xs, ys) for a sphere config; an antenna config has no
+    backend, cloud or t keys and runs the SHT route on its kernel kind."""
     from .measures import discretize_sphere
     from .sphere import (
         SphereDenseApplicator,
@@ -410,27 +415,24 @@ def _build_sphere_applicator(cfg, renormalize):
         SphericalGrid,
     )
 
-    k = cfg["k"]
-    W = cfg["W"] if cfg["W"] is not None else int(np.ceil(cfg["R"] * k))
-    if cfg["source_cloud"] is not None or cfg["target_cloud"] is not None:
-        if cfg["backend"] != "direct":
+    backend = cfg.get("backend", "sht")
+    if cfg.get("source_cloud") is not None or cfg.get("target_cloud") is not None:
+        if backend != "direct":
             raise ConfigError("sphere point clouds run on the direct backend only")
-        return _sphere_cloud_applicator(cfg, renormalize, W)
+        return _sphere_cloud_applicator(cfg, renormalize)
 
     if cfg["f"] is None or cfg["g"] is None:
         raise ConfigError("sphere transport needs f and g expressions (or clouds)")
-    grid = SphericalGrid(W)
+    grid = SphericalGrid(cfg["W"])
     p = discretize_sphere(cfg["f"], grid).weights
     q = discretize_sphere(cfg["g"], grid).weights
-    spec = SphereKernelSpec(kind="heat", k=k, t=cfg["t"])
-    if cfg["backend"] == "sht":
+    spec = SphereKernelSpec(kind=kind, k=cfg["k"], t=cfg.get("t"))
+    if backend == "sht":
         app = SphereSHTApplicator(grid, spec, p, q)
-    elif cfg["backend"] == "direct":
+    elif backend == "direct":
         app = SphereDenseApplicator(grid, spec, p, q)
     else:
-        raise ConfigError(
-            f"sphere backend must be sht or direct, got {cfg['backend']!r}"
-        )
+        raise ConfigError(f"sphere backend must be sht or direct, got {backend!r}")
     ang = grid.angles()
     return app, ang, ang
 
@@ -443,19 +445,12 @@ def _build_sphere_applicator(cfg, renormalize):
 @click.option("--renormalize", is_flag=True)
 def transport_sphere(config_path, backend, out_path, threads, renormalize):
     """Solve a sphere transport instance (band-limited heat kernel cost)."""
-    _set_threads(threads)
-    cfg = _resolve(_load_config(config_path), _SPHERE_SCHEMA, "transport sphere")
-    if backend is not None:
-        cfg["backend"] = backend
-    if cfg["manifold"] != "sphere":
-        raise ConfigError(f"config manifold is {cfg['manifold']!r}, expected sphere")
-    _resolve_m_max(cfg)
-    out = _out_dir(out_path)
+    cfg, out = _setup(config_path, _SPHERE_SCHEMA, "transport sphere", threads, out_path,
+                      backend=backend)
 
     def work():
-        applicator, xs, ys = _build_sphere_applicator(cfg, renormalize)
-        _run_transport(applicator, cfg, out, ("phi", "theta"), xs, ys)
-        return 0
+        built = _build_sphere_applicator(cfg, renormalize)
+        _solve_and_report(cfg, out, ("phi", "theta"), *built)
 
     return _guard_numerics(work, out)
 
@@ -466,12 +461,12 @@ def transport_sphere(config_path, backend, out_path, threads, renormalize):
 
 _ANTENNA_SCHEMA = {
     "k": _REQUIRED,
-    "W": None,
+    "W": _default_W,
     "f": _REQUIRED,
     "g": _REQUIRED,
     "tol": 1e-9,
     "A": 2.0,
-    "m_max": None,
+    "m_max": _default_m_max,
 }
 
 
@@ -491,116 +486,70 @@ def _bin_directions(grid, directions, masses, ok):
     return binned
 
 
+def _reflector_report(app, out, u):
+    """Write heights.csv and directions.csv from u; returns the reflector fields."""
+    import numpy as np
+
+    from .sphere import antenna_height, bandlimited_heat_apply, reflector_map
+
+    grid, p, q, k = app.grid, app.p, app.q, app.spec.k
+    # the height is the k-th root of the scaling function e^{-k u};
+    # u(base)=0 pins h(base)=1
+    h = antenna_height(np.exp(-k * u), k)
+    directions, ok = reflector_map(grid, h)
+    binned = _bin_directions(grid, directions, p, ok)
+    discrepancy = float(np.abs(binned - q).sum())
+    # nearest-node binning quantizes the map, so the raw L1 gap carries
+    # O(1) granularity noise; compare blurred densities instead (masses
+    # over quadrature weights give densities, the heat operator blurs
+    # them, and the weights integrate the gap back up)
+    t_blur = 4.0 / grid.W**2
+    smoothed = float(
+        grid.node_weights
+        @ np.abs(
+            bandlimited_heat_apply(grid, t_blur, binned / grid.node_weights)
+            - bandlimited_heat_apply(grid, t_blur, q / grid.node_weights)
+        )
+    )
+
+    ang = grid.angles()
+    _write_csv(
+        out / "heights.csv",
+        ("phi", "theta", "h"),
+        [(ang[i, 0], ang[i, 1], h[i]) for i in range(grid.size)],
+    )
+    _write_csv(
+        out / "directions.csv",
+        ("phi", "theta", "dx", "dy", "dz", "ok"),
+        [
+            (ang[i, 0], ang[i, 1], directions[i, 0], directions[i, 1],
+             directions[i, 2], int(ok[i]))
+            for i in range(grid.size)
+        ],
+    )
+    return {
+        "W": grid.W,
+        "h_base": float(h[0]),
+        "h_min": float(h.min()),
+        "h_max": float(h.max()),
+        "degenerate_normals": int((~ok).sum()),
+        "pushforward_discrepancy": discrepancy,
+        "pushforward_smoothed": smoothed,
+    }
+
+
 @cli.command()
 @click.option("--config", "config_path", required=True, type=click.Path())
 @click.option("--out", "out_path", default="out", type=click.Path())
 @click.option("--threads", type=int, default=None)
 def antenna(config_path, out_path, threads):
     """Solve the reflector problem: heights, reflected field, pushforward check."""
-    _set_threads(threads)
-    cfg = _resolve(_load_config(config_path), _ANTENNA_SCHEMA, "antenna")
-    _resolve_m_max(cfg)
-    out = _out_dir(out_path)
+    cfg, out = _setup(config_path, _ANTENNA_SCHEMA, "antenna", threads, out_path)
 
     def work():
-        import numpy as np
-
-        from .measures import discretize_sphere
-        from .sinkhorn import (
-            initial_state,
-            marginal_errors,
-            normalized_potentials,
-            run_until,
-        )
-        from .sphere import (
-            SphereKernelSpec,
-            SphereSHTApplicator,
-            SphericalGrid,
-            antenna_height,
-            bandlimited_heat_apply,
-            reflector_map,
-        )
-
-        k = cfg["k"]
-        W = cfg["W"] if cfg["W"] is not None else 2 * k
-        if W < k:
-            raise ConfigError(f"antenna needs bandwidth W >= k, got W={W}, k={k}")
-        cfg["W"] = W
-        grid = SphericalGrid(W)
-        p = discretize_sphere(cfg["f"], grid).weights
-        q = discretize_sphere(cfg["g"], grid).weights
-        app = SphereSHTApplicator(grid, SphereKernelSpec("antenna", k), p, q)
-
-        t0 = time.perf_counter()
-        state = run_until(
-            initial_state(app), app, tol=cfg["tol"], A=cfg["A"], m_max=cfg["m_max"]
-        )
-        wall_ms = (time.perf_counter() - t0) * 1e3
-        u, _ = normalized_potentials(state)
-        # the height is the k-th root of the scaling function e^{-k u};
-        # u(base)=0 pins h(base)=1
-        h = antenna_height(np.exp(-k * u), k)
-        directions, ok = reflector_map(grid, h)
-        binned = _bin_directions(grid, directions, p, ok)
-        discrepancy = float(np.abs(binned - q).sum())
-        # nearest-node binning quantizes the map, so the raw L1 gap carries
-        # O(1) granularity noise; compare blurred densities instead (masses
-        # over quadrature weights give densities, the heat operator blurs
-        # them, and the weights integrate the gap back up)
-        t_blur = 4.0 / W**2
-        binned_density = binned / grid.node_weights
-        q_density = q / grid.node_weights
-        smoothed = float(
-            grid.node_weights
-            @ np.abs(
-                bandlimited_heat_apply(grid, t_blur, binned_density)
-                - bandlimited_heat_apply(grid, t_blur, q_density)
-            )
-        )
-        e_row, e_col = marginal_errors(state, app)
-
-        ang = grid.angles()
-        _write_csv(
-            out / "heights.csv",
-            ("phi", "theta", "h"),
-            [(ang[i, 0], ang[i, 1], h[i]) for i in range(grid.size)],
-        )
-        _write_csv(
-            out / "directions.csv",
-            ("phi", "theta", "dx", "dy", "dz", "ok"),
-            [
-                (ang[i, 0], ang[i, 1], directions[i, 0], directions[i, 1],
-                 directions[i, 2], int(ok[i]))
-                for i in range(grid.size)
-            ],
-        )
-        _write_csv(out / "trace.csv", _TRACE_HEADER, _trace_rows(state))
-        _write_json(
-            out / "summary.json",
-            {
-                "config": cfg,
-                "k": k,
-                "W": W,
-                "N": grid.size,
-                "m_stop": state.m,
-                "stop_reason": state.stop_reason,
-                "e_row": e_row,
-                "e_col": e_col,
-                "h_base": float(h[0]),
-                "h_min": float(h.min()),
-                "h_max": float(h.max()),
-                "degenerate_normals": int((~ok).sum()),
-                "pushforward_discrepancy": discrepancy,
-                "pushforward_smoothed": smoothed,
-                "wall_time_ms": wall_ms,
-                "environment": _environment(),
-            },
-        )
-        click.echo(
-            f"stop={state.stop_reason} m={state.m} h in "
-            f"[{h.min():.4f}, {h.max():.4f}] pushforward_gap={smoothed:.3g} -> {out}"
-        )
-        return 0
+        app, ang, _ = _build_sphere_applicator(cfg, kind="antenna")
+        _solve_and_report(cfg, out, ("phi", "theta"), app, ang, ang,
+                          partial(_reflector_report, app, out))
 
     return _guard_numerics(work, out)
 
@@ -628,9 +577,7 @@ _PARABOLIC_SCHEMA = {
 @click.option("--threads", type=int, default=None)
 def parabolic(config_path, out_path, threads):
     """Run the finite-difference parabolic flow and export its trajectory."""
-    _set_threads(threads)
-    cfg = _resolve(_load_config(config_path), _PARABOLIC_SCHEMA, "parabolic")
-    out = _out_dir(out_path)
+    cfg, out = _setup(config_path, _PARABOLIC_SCHEMA, "parabolic", threads, out_path)
 
     def work():
         import numpy as np
@@ -868,7 +815,7 @@ def _suite_stationary_phase(cfg):
 
     from .phase import shifted_lattice_check, stationary_phase_check
 
-    ks = cfg.get("ks", [64, 128, 256])
+    ks = cfg["ks"]
 
     def alpha(pts):
         x = np.atleast_2d(pts)[:, 0]
@@ -910,9 +857,8 @@ def _suite_density(cfg):
 
     from .measures import check_density_property, discretize_torus
 
-    k = cfg.get("k", 32)
-    radius = cfg.get("radius", 2.0 / k)
-    m = discretize_torus(cfg.get("f", "cos(2*pi*x1)"), k, 1)
+    k, radius = cfg["k"], cfg["radius"]
+    m = discretize_torus(cfg["f"], k, 1)
     centers = np.linspace(0.0, 1.0, 17)[:-1][:, None]
     report = check_density_property(m, k, radius, centers)
     bound = np.log(radius / 2.0) / k - np.log(k) / k
@@ -936,9 +882,8 @@ def _suite_sht(cfg):
 
     from .sphere import HarmonicCoeffs, SphericalGrid, sht_forward, sht_inverse
 
-    W = cfg.get("W", 16)
-    seed = cfg.get("seed", 0)
-    rng = np.random.default_rng(seed)
+    W = cfg["W"]
+    rng = np.random.default_rng(cfg["seed"])
     grid = SphericalGrid(W)
     coeffs = HarmonicCoeffs.zeros(W)
     for l in range(W + 1):
@@ -954,10 +899,8 @@ def _suite_sht(cfg):
 
 
 def _suite_bench(cfg):
-    torus_sizes = cfg.get("torus_sizes", [2**e for e in range(10, 17)])
-    sphere_ws = cfg.get("sphere_bandwidths", [16, 23, 32, 45, 64])
-    torus_pairs = bench_torus_apply(torus_sizes)
-    sphere_pairs = bench_sphere_apply(sphere_ws)
+    torus_pairs = bench_torus_apply(cfg["torus_sizes"])
+    sphere_pairs = bench_sphere_apply(cfg["sphere_bandwidths"])
     torus_route = bench_torus_route([512, 1024, 2048, 4096])
     torus_solves = bench_torus_solves([256, 1024])
     parabolic_steps = bench_parabolic_steps()
@@ -987,11 +930,14 @@ def _suite_bench(cfg):
     }
 
 
+# each suite with the defaults of the config keys it reads
 _SUITES = {
-    "stationary-phase": _suite_stationary_phase,
-    "density": _suite_density,
-    "sht": _suite_sht,
-    "bench": _suite_bench,
+    "stationary-phase": (_suite_stationary_phase, {"ks": [64, 128, 256]}),
+    "density": (_suite_density, {"k": 32, "radius": lambda cfg: 2.0 / cfg["k"],
+                                 "f": "cos(2*pi*x1)"}),
+    "sht": (_suite_sht, {"W": 16, "seed": 0}),
+    "bench": (_suite_bench, {"torus_sizes": [2**e for e in range(10, 17)],
+                             "sphere_bandwidths": [16, 23, 32, 45, 64]}),
 }
 
 
@@ -1002,12 +948,11 @@ _SUITES = {
 @click.option("--threads", type=int, default=None)
 def diagnose(suite, config_path, out_path, threads):
     """Run a self-check suite; exit 1 when any assertion fails."""
-    _set_threads(threads)
-    cfg = _load_config(config_path) if config_path else {}
-    out = _out_dir(out_path)
+    run, schema = _SUITES[suite]
+    cfg, out = _setup(config_path, schema, f"diagnose {suite}", threads, out_path)
 
     def work():
-        report = _SUITES[suite](cfg)
+        report = run(cfg)
         report["suite"] = suite
         report["pass"] = not report["failures"]
         _write_json(out / f"diagnose_{suite}.json", report)

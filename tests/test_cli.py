@@ -320,6 +320,14 @@ class TestRemovedOptions:
         assert main(command + ["--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "'seed'" in capsys.readouterr().err
 
+    def test_sphere_R_key_rejected(self, tmp_path, capsys):
+        # the bandwidth is set by W alone; R once scaled its default
+        cfg = _cfg(tmp_path, {"manifold": "sphere", "k": 4, "f": "0", "g": "0",
+                              "R": 2.0})
+        rc = main(["transport", "sphere", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "'R'" in capsys.readouterr().err
+
     def test_torus_images_key_rejected(self, tmp_path, capsys):
         cfg = _cfg(tmp_path, {"manifold": "torus", "k": 8, "f": "0", "g": "0",
                               "kernel": "heat", "images": 5})
@@ -356,6 +364,15 @@ class TestTransportSphere:
             assert header == ("phi", "theta", "u", "v")
             pots[backend] = data
         np.testing.assert_allclose(pots["sht"], pots["direct"], atol=1e-8, rtol=0.0)
+
+    def test_default_bandwidth_echoed(self, tmp_path):
+        cfg = _cfg(tmp_path, {"manifold": "sphere", "k": 4, "f": "0", "g": "0"})
+        out = tmp_path / "run"
+        assert main(["transport", "sphere", "--config", cfg, "--out", str(out)]) == 0
+        summary = _summary(out)
+        assert summary["config"]["W"] == 8  # 2k
+        assert summary["backend"]["W"] == 8
+        assert "R" not in summary["config"]
 
     def test_sphere_clouds_need_direct(self, tmp_path):
         cloud = tmp_path / "pts.txt"
@@ -448,9 +465,10 @@ class TestAntenna:
         # binning granularity dominates the raw gap; blurring must shrink it
         assert summary["pushforward_smoothed"] < summary["pushforward_discrepancy"]
 
-    def test_bandwidth_below_k_rejected(self, tmp_path):
+    def test_bandwidth_below_k_rejected(self, tmp_path, capsys):
         cfg = _cfg(tmp_path, {"k": 8, "W": 4, "f": "0", "g": "0"})
         assert main(["antenna", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "kernel degree 8 exceeds grid bandwidth 4" in capsys.readouterr().err
 
 
 class TestParabolic:
@@ -600,8 +618,51 @@ class TestDiagnose:
         for rec in steps:
             assert rec["steps"] == 300 and rec["us_per_step"] > 0.0
 
+    def test_unknown_config_keys_rejected(self, tmp_path, capsys):
+        cfg = _cfg(tmp_path, {"Wx": 8, "sead": 3})
+        rc = main(["diagnose", "sht", "--config", cfg, "--out", str(tmp_path / "d")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "'Wx'" in err and "'sead'" in err
+        assert not (tmp_path / "d" / "diagnose_sht.json").exists()
+
     def test_unknown_suite_rejected(self, tmp_path):
         assert main(["diagnose", "entropy", "--out", str(tmp_path / "o")]) == 2
+
+
+class TestSharedReport:
+    """The three Sinkhorn commands write one set of core artifacts."""
+
+    CORE_KEYS = {"config", "k", "N", "m_stop", "stop_reason", "entropic_cost",
+                 "cost_warning", "e_row", "e_col", "m_max", "backend",
+                 "wall_time_ms", "environment"}
+
+    @pytest.mark.parametrize(
+        "argv, payload",
+        [
+            (["transport", "torus"],
+             {"manifold": "torus", "k": 16, "f": SMOOTH_F, "g": SMOOTH_G}),
+            (["transport", "sphere"],
+             {"manifold": "sphere", "k": 4, "f": "0.4*cos(theta)", "g": "0"}),
+            (["antenna"], {"k": 4, "f": "0", "g": "-0.5*cos(theta)"}),
+        ],
+        ids=["transport-torus", "transport-sphere", "antenna"],
+    )
+    def test_core_summary_and_artifacts(self, tmp_path, capsys, argv, payload):
+        out = tmp_path / "run"
+        cfg = _cfg(tmp_path, payload)
+        assert main(argv + ["--config", cfg, "--out", str(out)]) == 0
+        summary = _summary(out)
+        assert self.CORE_KEYS <= set(summary)
+        assert summary["m_max"] == summary["config"]["m_max"] is not None
+        assert summary["m_stop"] <= summary["m_max"]
+
+        header, pots = _csv(out / "potentials.csv")
+        assert header[-2:] == ("u", "v") and pots.shape[0] == summary["N"]
+        _, trace = _csv(out / "trace.csv")
+        assert trace.shape[0] == summary["m_stop"]
+        line = capsys.readouterr().out
+        assert line.startswith(f"stop={summary['stop_reason']} m={summary['m_stop']} cost=")
 
 
 class TestSummaryEnvironment:

@@ -2,7 +2,8 @@
 
 The package solves the entropically regularized transport problem with
 regularization 1/k by the scaling (Sinkhorn) iteration, applying the
-kernel through FFT circular convolution on torus lattices and through
+kernel as the exact circulant product on the 1-D torus lattice, through
+FFT circular convolution on the 2-D and 3-D lattices and through
 spherical harmonic transforms on equiangular sphere grids, with one exact
 log-domain backend as the reference at every scale. A finite-difference
 solver for the parabolic Monge-Ampere flow provides an independent PDE

@@ -21,6 +21,7 @@ chance to pin the BLAS/OpenMP pool sizes.
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 import time
@@ -66,13 +67,49 @@ def _load_config(path):
     return cfg
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value):
+    return _is_int(value) or isinstance(value, float) and math.isfinite(value)
+
+
+def _list_of(is_item):
+    return lambda value: isinstance(value, list) and all(map(is_item, value))
+
+
+_INT = ("an integer", _is_int)
+_REAL = ("a finite number", _is_real)
+_TEXT = ("a string", lambda value: isinstance(value, str))
+_INTS = ("a list of integers", _list_of(_is_int))
+
+# the JSON type each config key takes, across every command's schema: an
+# integer key takes integers only, a real key finite integers or floats (not
+# the NaN and Infinity that Python's parser lets through), and a bool is
+# never a number. null is allowed where the schema default is null or
+# derived, and on tol, where it runs a fixed number of steps.
+_KEY_TYPES = {
+    "manifold": _TEXT, "f": _TEXT, "g": _TEXT, "source_cloud": _TEXT,
+    "target_cloud": _TEXT, "backend": _TEXT, "kernel": _TEXT,
+    "n": _INT, "k": _INT, "W": _INT, "m_max": _INT, "k_grid": _INT,
+    "records": _INT, "seed": _INT,
+    "t": _REAL, "A": _REAL, "T": _REAL, "dt": _REAL, "radius": _REAL,
+    "tol": ("a finite number or null", lambda value: value is None or _is_real(value)),
+    "normalize": ("true or false", lambda value: isinstance(value, bool)),
+    "record_times": ("a list of finite numbers", _list_of(_is_real)),
+    "ks": _INTS, "torus_sizes": _INTS, "sphere_bandwidths": _INTS,
+}
+
+
 def _setup(config_path, schema, command, threads, out_path, **overrides):
     """The preamble every command shares; returns (resolved config, out dir).
 
     Pins the thread pools, rejects unknown keys, applies the schema's
-    defaults and then the CLI overrides that were given, and checks the
-    manifold. A callable default is derived last from the resolved config
-    (the step cap, the sphere bandwidth), so the summary echoes its value.
+    defaults and then the CLI overrides that were given, and checks each
+    value's JSON type and the manifold. A callable default is derived last
+    from the resolved config (the step cap, the sphere bandwidth), so the
+    summary echoes its value.
     """
     _set_threads(threads)
     cfg = _load_config(config_path) if config_path else {}
@@ -84,6 +121,12 @@ def _setup(config_path, schema, command, threads, out_path, **overrides):
             raise ConfigError(f"{command}: missing required config key {key!r}")
         cfg.setdefault(key, None if callable(default) else default)
     cfg.update((key, val) for key, val in overrides.items() if val is not None)
+    for key, default in schema.items():
+        what, valid = _KEY_TYPES[key]
+        nullable = default is None or callable(default)
+        if not (valid(cfg[key]) or nullable and cfg[key] is None):
+            raise ConfigError(f"{command}: config key {key!r} must be {what}, "
+                              f"got {json.dumps(cfg[key])}")
     if cfg.get("manifold") != schema.get("manifold"):
         raise ConfigError(
             f"config manifold is {cfg['manifold']!r}, expected {schema['manifold']}"
@@ -199,20 +242,15 @@ def _solve_and_report(cfg, out, coord_header, applicator, xs, ys, extras=None):
     """
     import numpy as np
 
-    from .sinkhorn import (
-        entropic_cost,
-        initial_state,
-        marginal_errors,
-        normalized_potentials,
-        run_until,
-    )
+    from .sinkhorn import entropic_cost, initial_state, normalized_potentials, run_until
 
     t0 = time.perf_counter()
     state = initial_state(applicator)
     state = run_until(state, applicator, tol=cfg["tol"], A=cfg["A"], m_max=cfg["m_max"])
     wall_ms = (time.perf_counter() - t0) * 1e3
-    e_row, e_col = marginal_errors(state, applicator)
-    cost = entropic_cost(state, applicator)
+    # the last step measured the final errors; e_row is 0 after its u-update
+    e_row, e_col = state.trace[-1].e_row, state.trace[-1].e_col
+    cost = entropic_cost(state, applicator, (e_row, e_col))
     u, v = normalized_potentials(state)
 
     shared = xs is ys or (

@@ -407,7 +407,9 @@ def solve_parabolic(u0, f, g, T, grid, dt=None, record_times=None, normalize=Tru
     record times stop short of it, T is recorded last, so an empty list
     records T alone, as None does. By default the forcing exponents are
     normalized to unit e^{-f} grid mean so the flow can reach a steady
-    state; pass normalize=False to integrate the raw equation.
+    state; pass normalize=False to integrate the raw equation. dt must be
+    finite and positive and T finite and nonnegative, or no step count
+    reaches T.
 
     Returns the list of recorded ParabolicStates.
     """
@@ -415,6 +417,10 @@ def solve_parabolic(u0, f, g, T, grid, dt=None, record_times=None, normalize=Tru
     dx = grid.spacing
     if dt is None:
         dt = DEFAULT_DT_FACTOR * dx * dx / grid.n
+    if not (np.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"dt must be finite and positive, got {dt}")
+    if not (np.isfinite(T) and T >= 0.0):
+        raise ValueError(f"T must be finite and nonnegative, got {T}")
     tiny = 1e-12
     times = sorted(float(t) for t in record_times or ())
     if times and (times[0] < -tiny or times[-1] > T + tiny):

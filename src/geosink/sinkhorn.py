@@ -30,7 +30,7 @@ route allocates nothing of the support's size except the array it
 returns (the sphere route keeps fresh temporaries; see sphere.py).
 
 Iterates are kept raw during the run (the dynamic-in-m comparisons need
-unnormalized values); normalization to u(base) = 0 happens at readout,
+unnormalized values); normalization to u[0] = 0 happens at readout,
 with the compensating shift applied to v so the plan is untouched.
 """
 
@@ -82,11 +82,9 @@ class NumericalAbortError(RuntimeError):
 
 @dataclass
 class Potential:
-    """A potential vector tied to a support, with a distinguished base point."""
+    """A potential vector on a support."""
 
     values: np.ndarray
-    k: float
-    base_index: int = 0
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -114,7 +112,7 @@ class SinkhornState:
     cost_warning: bool = False
 
 
-def initial_state(kern, u0=None, base_index=0):
+def initial_state(kern, u0=None):
     """Fresh state at m = 0; u0 defaults to zero (the standard start)."""
     n_x, n_y = len(kern.p), len(kern.q)
     u = np.zeros(n_x) if u0 is None else np.asarray(u0, dtype=float).copy()
@@ -125,8 +123,8 @@ def initial_state(kern, u0=None, base_index=0):
     return SinkhornState(
         k=float(kern.k),
         m=0,
-        u=Potential(u, kern.k, base_index),
-        v=Potential(np.zeros(n_y), kern.k, base_index),
+        u=Potential(u),
+        v=Potential(np.zeros(n_y)),
     )
 
 
@@ -145,7 +143,7 @@ def softmin_update(pot, direction, kern):
         out = kern.softmin_to_source(values)
     else:
         raise ValueError(f"unknown direction {direction!r}")
-    return Potential(out, kern.k, getattr(pot, "base_index", 0))
+    return Potential(out)
 
 
 def _check_finite(arr, stage, m):
@@ -174,7 +172,8 @@ def run_until(state, kern, tol, A=2.0, m_max=None):
     m_max_schedule(k, A)), or when the sup-change stays below 1e-15 for
     five consecutive steps ("stagnated"). Pass tol=None to run a fixed
     number of steps regardless of the error. The returned state records
-    the reason under .stop_reason and one TraceRecord per step.
+    the reason under .stop_reason and one TraceRecord per step; its
+    cost_warning is False until entropic_cost measures it.
 
     Each step costs two kernel applications plus one shared with the
     trace bookkeeping: the trailing softmin w = v[u_{m+1}] that measures
@@ -248,11 +247,10 @@ def run_until(state, kern, tol, A=2.0, m_max=None):
     return SinkhornState(
         k=state.k,
         m=m,
-        u=Potential(u, state.k, state.u.base_index),
-        v=Potential(v_cur, state.k, state.v.base_index),
+        u=Potential(u),
+        v=Potential(v_cur),
         trace=trace_list,
         stop_reason=reason,
-        cost_warning=state.cost_warning,
     )
 
 
@@ -321,16 +319,16 @@ def plan_row(state, kern, i):
     return np.exp(expo) * kern.p[i] * kern.q
 
 
-def entropic_cost(state, kern):
+def entropic_cost(state, kern, errors=None):
     """Duality closed form -(<p,u> + <q,v>) of the regularized cost.
 
-    Valid at (approximate) fixed points. When the marginal error exceeds
-    1e-6 the state's cost_warning flag is set and the value should be
-    treated as indicative only.
+    Valid at (approximate) fixed points. errors is the state's (e_row,
+    e_col) when already measured, as run_until's last TraceRecord holds
+    them; None measures them with marginal_errors. The state's cost_warning
+    flag says whether either exceeds 1e-6, when the value is indicative only.
     """
-    e_row, e_col = marginal_errors(state, kern)
-    if max(e_row, e_col) > 1e-6:
-        state.cost_warning = True
+    e_row, e_col = marginal_errors(state, kern) if errors is None else errors
+    state.cost_warning = bool(max(e_row, e_col) > 1e-6)
     return -(float(kern.p @ state.u.values) + float(kern.q @ state.v.values))
 
 
@@ -349,8 +347,8 @@ def hilbert_distance(u1, u2):
 
 
 def normalized_potentials(state):
-    """(u, v) shifted so u(base) = 0, with the plan left invariant."""
-    shift = state.u.values[state.u.base_index]
+    """(u, v) shifted so u[0] = 0, with the plan left invariant."""
+    shift = state.u.values[0]
     return state.u.values - shift, state.v.values + shift
 
 
@@ -447,8 +445,8 @@ class LinearDomainApplicator:
     domain and takes the log back (_log_back, into the one fresh array the
     application returns), but only when the output's minimum exceeds the
     route's _floor (NaN never does): this is the one trust check of the
-    fast routes. The floor is 0, or
-    k * tiny / 1e-13 on the exact 1-D torus product (see geosink.torus).
+    fast routes. The floor is 0, or k * tiny /
+    torus.SUBNORMAL_REL_ERROR on the exact 1-D torus product (see there).
     An untrusted application is redone on the dense route, built on first
     use and counted in .fallbacks; past DENSE_POINT_CAP points, where that
     route is quadratic, the run aborts instead. mode "direct" always takes

@@ -57,8 +57,10 @@ __all__ = [
 _LATTICE_POINT_CAP = 10_000_000
 
 _EPS = np.finfo(float).eps
-# the 1-D route trusts an output above k * tiny / CERTIFY_DELTA
-CERTIFY_DELTA = 1e-13
+# terms below tiny (subnormal, or flushed to zero) sum to less than k * tiny,
+# so they change a 1-D output above the floor k * tiny / SUBNORMAL_REL_ERROR
+# by at most this relative amount; the 1-D route trusts such outputs
+SUBNORMAL_REL_ERROR = 1e-13
 # output rows per BLAS block of the 1-D circulant product
 _BLOCK = 32
 # OpenBLAS runs a GEMM of m * n * k <= 65536 * 4 multiply-adds on one
@@ -385,7 +387,7 @@ class TorusLatticeApplicator(LinearDomainApplicator):
         self._cost_profile = -self._log_profile / self.k
         if mode == "fft":
             if grid.n == 1:
-                self._floor = grid.k * np.finfo(float).tiny / CERTIFY_DELTA
+                self._floor = grid.k * np.finfo(float).tiny / SUBNORMAL_REL_ERROR
             else:
                 self._profile_hat = np.fft.rfftn(np.exp(self._log_profile))
                 self._spectrum = np.empty_like(self._profile_hat)

@@ -305,6 +305,58 @@ class TestTorusConfigErrors:
         assert rc == 2
 
 
+class TestConfigTypes:
+    """A value of the wrong JSON type is a config error that names its key."""
+
+    TORUS = {"manifold": "torus", "k": 8, "f": SMOOTH_F, "g": SMOOTH_G}
+    SPHERE = {"manifold": "sphere", "k": 4, "f": "0", "g": "0"}
+    ANTENNA = {"k": 4, "f": "0", "g": "0"}
+
+    @pytest.mark.parametrize(
+        "argv, payload, key",
+        [
+            (["transport", "torus"], dict(TORUS, tol="1e-9"), "tol"),
+            (["transport", "torus"], dict(TORUS, A="2"), "A"),
+            (["transport", "torus"], dict(TORUS, n="1"), "n"),
+            (["transport", "torus"], dict(TORUS, f=1), "f"),
+            (["transport", "torus"], dict(TORUS, k=64.0), "k"),
+            (["transport", "torus"], dict(TORUS, k=32.5), "k"),
+            (["transport", "torus"], dict(TORUS, m_max=2.5), "m_max"),
+            (["transport", "torus"], dict(TORUS, A=True), "A"),
+            (["transport", "torus"], dict(TORUS, A=None), "A"),
+            (["transport", "torus"], dict(TORUS, A=float("inf")), "A"),
+            (["transport", "torus"], dict(TORUS, tol=float("nan")), "tol"),
+            (["transport", "sphere"], dict(SPHERE, W="16"), "W"),
+            (["transport", "sphere"], dict(SPHERE, W=16.0), "W"),
+            (["antenna"], dict(ANTENNA, tol=[1]), "tol"),
+            (["diagnose", "sht"], {"W": "8"}, "W"),
+            (["parabolic"], {"k_grid": 16, "f": "0", "g": "0", "T": 0.01,
+                             "record_times": ["0.005"]}, "record_times"),
+        ],
+        ids=["tol-string", "A-string", "n-string", "f-number", "k-integral-float",
+             "k-fraction", "m_max-fraction", "A-bool", "A-null", "A-infinity",
+             "tol-nan", "W-string", "W-float", "tol-list", "diagnose-W-string",
+             "record-times-strings"],
+    )
+    def test_wrong_type_rejected(self, tmp_path, capsys, argv, payload, key):
+        rc = main(argv + ["--config", _cfg(tmp_path, payload),
+                          "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert f"config key {key!r} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "payload",
+        [dict(TORUS, tol=0, m_max=5), dict(TORUS, A=2), dict(TORUS, tol=None, m_max=3)],
+        ids=["tol-integer", "A-integer", "tol-null"],
+    )
+    def test_integers_and_null_tol_accepted(self, tmp_path, payload):
+        out = tmp_path / "run"
+        assert main(["transport", "torus", "--config", _cfg(tmp_path, payload),
+                     "--out", str(out)]) == 0
+        config = _summary(out)["config"]
+        assert {key: config[key] for key in payload} == payload
+
+
 class TestRemovedOptions:
     """Keys and values that nothing read are rejected, not silently accepted."""
 
@@ -546,6 +598,13 @@ class TestParabolic:
         np.testing.assert_allclose(rows[:, 0], [0.01], atol=1e-12)
         assert _summary(out)["T"] == pytest.approx(0.01, abs=1e-12)
 
+    @pytest.mark.parametrize("dt", [0, -1e-4])
+    def test_nonpositive_step_is_a_config_error(self, tmp_path, capsys, dt):
+        cfg = _cfg(tmp_path, {"n": 1, "k_grid": 16, "f": "0", "g": "0", "T": 0.01,
+                              "dt": dt})
+        assert main(["parabolic", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "dt must be finite and positive" in capsys.readouterr().err
+
     def test_short_record_times_still_reach_the_horizon(self, tmp_path):
         cfg = _cfg(
             tmp_path,
@@ -663,6 +722,53 @@ class TestSharedReport:
         assert trace.shape[0] == summary["m_stop"]
         line = capsys.readouterr().out
         assert line.startswith(f"stop={summary['stop_reason']} m={summary['m_stop']} cost=")
+
+    @pytest.mark.parametrize(
+        "argv, payload",
+        [
+            (["transport", "torus"],
+             {"manifold": "torus", "k": 16, "f": SMOOTH_F, "g": SMOOTH_G}),
+            (["transport", "torus"],
+             {"manifold": "torus", "n": 2, "k": 8, "f": f"{SMOOTH_F} + cos(2*pi*x2)",
+              "g": f"{SMOOTH_G} - cos(2*pi*x2)"}),
+            (["transport", "torus", "--backend", "direct"],
+             {"manifold": "torus", "k": 16, "f": SMOOTH_F, "g": SMOOTH_G}),
+            (["transport", "sphere"],
+             {"manifold": "sphere", "k": 4, "f": "0.4*cos(theta)", "g": "0"}),
+            (["transport", "sphere", "--backend", "direct"],
+             {"manifold": "sphere", "k": 4, "f": "0.4*cos(theta)", "g": "0"}),
+            (["antenna"], {"k": 4, "f": "0", "g": "-0.5*cos(theta)"}),
+        ],
+        ids=["torus-1d-fft", "torus-2d-fft", "torus-direct", "sphere-sht",
+             "sphere-direct", "antenna"],
+    )
+    def test_readout_is_the_last_step(self, tmp_path, monkeypatch, argv, payload):
+        # run_until makes 2 applies per step plus one; the summary's errors
+        # are its last record, with no further apply after the solve
+        from geosink import cli
+
+        applies = []
+
+        def counting(build):
+            def built(*args, **kwargs):
+                app, xs, ys = build(*args, **kwargs)
+                for name in ("softmin_to_target", "softmin_to_source"):
+                    def count(values, apply=getattr(app, name)):
+                        applies.append(name)
+                        return apply(values)
+                    setattr(app, name, count)
+                return app, xs, ys
+            return built
+
+        for builder in ("_build_torus_applicator", "_build_sphere_applicator"):
+            monkeypatch.setattr(cli, builder, counting(getattr(cli, builder)))
+        out = tmp_path / "run"
+        assert main(argv + ["--config", _cfg(tmp_path, payload), "--out", str(out)]) == 0
+        summary = _summary(out)
+        assert len(applies) == 2 * summary["m_stop"] + 1
+        header, trace = _csv(out / "trace.csv")
+        last = dict(zip(header, trace[-1]))
+        assert (summary["e_row"], summary["e_col"]) == (last["e_row"], last["e_col"])
 
 
 class TestSummaryEnvironment:

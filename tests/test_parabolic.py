@@ -237,6 +237,19 @@ class TestSolveParabolic:
         with pytest.raises(ValueError, match=r"within \[0, T\]"):
             solve_parabolic(np.zeros(16), "0", "0", 0.1, grid, record_times=[-0.1])
 
+    @pytest.mark.parametrize("dt", [0.0, -1e-4, float("nan"), float("inf")])
+    def test_step_must_be_finite_and_positive(self, dt):
+        # a step that is not positive never advances t toward T
+        grid = TorusGrid(1, 16)
+        with pytest.raises(ValueError, match="dt must be finite and positive"):
+            solve_parabolic(np.zeros(16), "0", "0", 0.01, grid, dt=dt)
+
+    @pytest.mark.parametrize("T", [-0.01, float("nan"), float("inf")])
+    def test_horizon_must_be_finite_and_nonnegative(self, T):
+        grid = TorusGrid(1, 16)
+        with pytest.raises(ValueError, match="T must be finite and nonnegative"):
+            solve_parabolic(np.zeros(16), "0", "0", T, grid, dt=1e-3)
+
     def test_zero_horizon_records_the_initial_min_eig(self):
         grid = TorusGrid(2, 16)
         x = grid.points().reshape(grid.shape + (2,))

@@ -433,6 +433,43 @@ class TestEntropicCost:
         assert state.cost_warning
 
 
+def _readme_pair(k=64):
+    p = discretize_torus("3*(1-cos(2*pi*x1))", k, 1).weights
+    q = discretize_torus("3*(1-cos(2*pi*(x1-0.375)))", k, 1).weights
+    return TorusLatticeApplicator(TorusGrid(1, k), TorusKernelSpec("gaussian", k), p, q,
+                                  mode="fft")
+
+
+class TestReadout:
+    """run_until's last record is the final readout, and the flag follows its state."""
+
+    def test_resumed_run_clears_the_cost_warning(self):
+        kern = _readme_pair()
+        short = run_until(initial_state(kern), kern, tol=1e-9, m_max=3)
+        entropic_cost(short, kern)
+        assert short.stop_reason == "m_max" and short.cost_warning
+        resumed = run_until(short, kern, tol=1e-9)
+        assert resumed.stop_reason == "tol"
+        assert not resumed.cost_warning
+        resumed.cost_warning = True
+        entropic_cost(resumed, kern)
+        assert not resumed.cost_warning
+
+    @pytest.mark.parametrize("tol, m_max, warned", [(1e-9, None, False), (None, 3, True)],
+                             ids=["tol-stop", "m_max-stop"])
+    def test_measured_errors_give_the_same_cost_and_flag(self, tol, m_max, warned):
+        kern = _readme_pair()
+        state = run_until(initial_state(kern), kern, tol=tol, m_max=m_max)
+        last = state.trace[-1]
+        # the trailing softmin of the last step is the one marginal_errors redoes
+        assert marginal_errors(state, kern) == (0.0, last.e_col) == (last.e_row, last.e_col)
+        cost = entropic_cost(state, kern)
+        assert state.cost_warning is warned
+        state.cost_warning = not warned
+        assert entropic_cost(state, kern, errors=(last.e_row, last.e_col)) == cost
+        assert state.cost_warning is warned
+
+
 class TestHilbertDistance:
     def test_constant_difference_is_zero(self, rng):
         u = rng.standard_normal(9)

@@ -25,7 +25,7 @@ import math
 import os
 import sys
 import time
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import click
@@ -82,7 +82,13 @@ def _list_of(is_item):
 _INT = ("an integer", _is_int)
 _REAL = ("a finite number", _is_real)
 _TEXT = ("a string", lambda value: isinstance(value, str))
-_INTS = ("a list of integers", _list_of(_is_int))
+_POSITIVE = ("a positive finite number", lambda value: _is_real(value) and value > 0)
+# slopes and rates are fitted across these lists, so one value is too few
+_RISING = ("a list of at least two strictly increasing integers",
+           lambda value: _list_of(_is_int)(value) and len(value) > 1
+           and all(a < b for a, b in zip(value, value[1:])))
+_SIZES = ("a list of integers with at least two distinct values",
+          lambda value: _list_of(_is_int)(value) and len(set(value)) > 1)
 
 # the JSON type each config key takes, across every command's schema: an
 # integer key takes integers only, a real key finite integers or floats (not
@@ -94,11 +100,11 @@ _KEY_TYPES = {
     "target_cloud": _TEXT, "backend": _TEXT, "kernel": _TEXT,
     "n": _INT, "k": _INT, "W": _INT, "m_max": _INT, "k_grid": _INT,
     "records": _INT, "seed": _INT,
-    "t": _REAL, "A": _REAL, "T": _REAL, "dt": _REAL, "radius": _REAL,
+    "t": _REAL, "T": _REAL, "dt": _REAL, "A": _POSITIVE, "radius": _POSITIVE,
     "tol": ("a finite number or null", lambda value: value is None or _is_real(value)),
     "normalize": ("true or false", lambda value: isinstance(value, bool)),
     "record_times": ("a list of finite numbers", _list_of(_is_real)),
-    "ks": _INTS, "torus_sizes": _INTS, "sphere_bandwidths": _INTS,
+    "ks": _RISING, "torus_sizes": _SIZES, "sphere_bandwidths": _SIZES,
 }
 
 
@@ -298,6 +304,76 @@ def _solve_and_report(cfg, out, coord_header, applicator, xs, ys, extras=None):
     )
 
 
+def _side(cfg, which, renormalize, sample):
+    """(points, weights, sampled) for the source or target side: its cloud
+    file, or its expression sampled on the grid by sample(expr)."""
+    from .measures import load_point_cloud
+
+    manifold, ndim = cfg.get("manifold", "sphere"), cfg.get("n")
+    cloud = cfg.get(f"{which}_cloud")
+    expr = cfg[{"source": "f", "target": "g"}[which]]
+    if cloud is not None and expr is not None:
+        raise ConfigError(f"give either an expression or a cloud for {which}, not both")
+    if cloud is not None:
+        measure = load_point_cloud(cloud, renormalize=renormalize, ndim=ndim)
+        if measure.chart != manifold:
+            raise ConfigError(f"{cloud}: expected {manifold} points")
+        if ndim is not None and measure.coords.shape[1] != ndim:
+            raise ConfigError(f"{cloud}: dimension mismatch with n={ndim}")
+        return measure.coords, measure.weights, False
+    if expr is None:
+        raise ConfigError(f"{which} side needs an expression or a cloud")
+    measure = sample(expr)
+    return measure.coords, measure.weights, True
+
+
+def _build_applicator(cfg, renormalize, kind):
+    """(applicator, xs, ys) for a Sinkhorn config on either manifold.
+
+    Two sampled sides run the grid route the backend names; a cloud on
+    either side runs the dense route between the point sets, on the direct
+    backend only, and builds no grid for itself. An antenna config (no
+    manifold, backend, cloud or t key) runs the sphere's SHT route.
+    """
+    from . import measures, sphere, torus
+    from .sinkhorn import DenseApplicator
+
+    k, manifold = cfg["k"], cfg.get("manifold", "sphere")
+    backend = cfg.get("backend", "sht")
+    if manifold == "torus":
+        spec = torus.TorusKernelSpec(kind, k, cfg["t"])
+        grid = partial(torus.TorusGrid, cfg["n"], k)
+        sample = partial(measures.discretize_torus, k=k, n=cfg["n"])
+        routes = {mode: partial(torus.TorusLatticeApplicator, mode=mode)
+                  for mode in ("fft", "direct")}
+        log_kernel = partial(torus.torus_log_kernel, spec=spec)
+    else:
+        spec = sphere.SphereKernelSpec(kind, k, cfg.get("t"))
+        grid = cache(partial(sphere.SphericalGrid, cfg["W"]))
+        routes = {"sht": sphere.SphereSHTApplicator, "direct": sphere.SphereDenseApplicator}
+
+        def sample(expr):
+            return measures.discretize_sphere(expr, grid())
+
+        def log_kernel(xs, ys):
+            mult = sphere.positive_heat_multipliers(spec.heat_time, cfg["W"])
+            a, b = (sphere.sphere_embed(pts[:, 0], pts[:, 1]) for pts in (xs, ys))
+            return sphere.zonal_log_kernel(a, b, mult)
+
+    if backend not in routes:
+        raise ConfigError(
+            f"{manifold} backend must be {' or '.join(routes)}, got {backend!r}"
+        )
+    xs, p, src_sampled = _side(cfg, "source", renormalize, sample)
+    ys, q, tgt_sampled = _side(cfg, "target", renormalize, sample)
+    if src_sampled and tgt_sampled:
+        return routes[backend](grid(), spec, p, q), xs, ys
+    if backend != "direct":
+        raise ConfigError("point clouds run on the direct backend only")
+    app = DenseApplicator.from_log_kernel(k, p, q, lambda: log_kernel(xs, ys))
+    return app, xs, ys
+
+
 @click.group()
 def cli():
     """Entropic transport solvers and diagnostics on the torus and sphere."""
@@ -329,49 +405,6 @@ _TORUS_SCHEMA = {
 }
 
 
-def _torus_side(cfg, which, renormalize):
-    """(points, weights, on_lattice) for the source or target side."""
-    from .measures import discretize_torus, load_point_cloud
-
-    cloud = cfg[f"{which}_cloud"]
-    expr = cfg[{"source": "f", "target": "g"}[which]]
-    if cloud is not None and expr is not None:
-        raise ConfigError(f"give either an expression or a cloud for {which}, not both")
-    if cloud is not None:
-        measure = load_point_cloud(cloud, renormalize=renormalize, ndim=cfg["n"])
-        if measure.chart != "torus":
-            raise ConfigError(f"{cloud}: expected torus points")
-        if measure.coords.shape[1] != cfg["n"]:
-            raise ConfigError(f"{cloud}: dimension mismatch with n={cfg['n']}")
-        return measure.coords, measure.weights, False
-    if expr is None:
-        raise ConfigError(f"{which} side needs an expression or a cloud")
-    measure = discretize_torus(expr, cfg["k"], cfg["n"])
-    return measure.coords, measure.weights, True
-
-
-def _build_torus_applicator(cfg, renormalize):
-    from .sinkhorn import DenseApplicator
-    from .torus import TorusGrid, TorusKernelSpec, TorusLatticeApplicator, torus_log_kernel
-
-    backend = cfg["backend"]
-    if backend not in ("direct", "fft"):
-        raise ConfigError(f"torus backend must be direct or fft, got {backend!r}")
-    spec = TorusKernelSpec(kind=cfg["kernel"], k=cfg["k"], t=cfg["t"])
-
-    xs, p, src_lattice = _torus_side(cfg, "source", renormalize)
-    ys, q, tgt_lattice = _torus_side(cfg, "target", renormalize)
-    if src_lattice and tgt_lattice:
-        grid = TorusGrid(cfg["n"], cfg["k"])
-        return TorusLatticeApplicator(grid, spec, p, q, mode=backend), xs, ys
-    if backend != "direct":
-        raise ConfigError("point clouds run on the direct backend only")
-    app = DenseApplicator.from_log_kernel(
-        spec.k, p, q, lambda: torus_log_kernel(xs, ys, spec)
-    )
-    return app, xs, ys
-
-
 @transport.command("torus")
 @click.option("--config", "config_path", required=True, type=click.Path())
 @click.option("--backend", type=click.Choice(["direct", "fft"]), default=None)
@@ -387,7 +420,7 @@ def transport_torus(config_path, backend, out_path, threads, renormalize,
                       backend=backend, k=k_override, A=a_override)
 
     def work():
-        built = _build_torus_applicator(cfg, renormalize)
+        built = _build_applicator(cfg, renormalize, cfg["kernel"])
         _solve_and_report(cfg, out, tuple(f"x{i + 1}" for i in range(cfg["n"])), *built)
 
     return _guard_numerics(work, out)
@@ -413,68 +446,6 @@ _SPHERE_SCHEMA = {
 }
 
 
-def _sphere_cloud_applicator(cfg, renormalize):
-    from .measures import load_point_cloud
-    from .sinkhorn import DenseApplicator
-    from .sphere import SphereKernelSpec, positive_heat_multipliers, sphere_embed
-    from .sphere import zonal_log_kernel
-
-    sides = []
-    for which in ("source", "target"):
-        path = cfg[f"{which}_cloud"]
-        if path is None:
-            raise ConfigError(
-                "sphere cloud runs need both source_cloud and target_cloud"
-            )
-        m = load_point_cloud(path, renormalize=renormalize)
-        if m.chart != "sphere":
-            raise ConfigError(f"{path}: expected sphere points")
-        sides.append(m)
-    src, tgt = sides
-    k = cfg["k"]
-    heat_time = SphereKernelSpec("heat", k, cfg["t"]).heat_time
-    mult = positive_heat_multipliers(heat_time, cfg["W"])
-    a = sphere_embed(src.coords[:, 0], src.coords[:, 1])
-    b = sphere_embed(tgt.coords[:, 0], tgt.coords[:, 1])
-    app = DenseApplicator.from_log_kernel(
-        k, src.weights, tgt.weights, lambda: zonal_log_kernel(a, b, mult)
-    )
-    return app, src.coords, tgt.coords
-
-
-def _build_sphere_applicator(cfg, renormalize=False, kind="heat"):
-    """(applicator, xs, ys) for a sphere config; an antenna config has no
-    backend, cloud or t keys and runs the SHT route on its kernel kind."""
-    from .measures import discretize_sphere
-    from .sphere import (
-        SphereDenseApplicator,
-        SphereKernelSpec,
-        SphereSHTApplicator,
-        SphericalGrid,
-    )
-
-    backend = cfg.get("backend", "sht")
-    if cfg.get("source_cloud") is not None or cfg.get("target_cloud") is not None:
-        if backend != "direct":
-            raise ConfigError("sphere point clouds run on the direct backend only")
-        return _sphere_cloud_applicator(cfg, renormalize)
-
-    if cfg["f"] is None or cfg["g"] is None:
-        raise ConfigError("sphere transport needs f and g expressions (or clouds)")
-    grid = SphericalGrid(cfg["W"])
-    p = discretize_sphere(cfg["f"], grid).weights
-    q = discretize_sphere(cfg["g"], grid).weights
-    spec = SphereKernelSpec(kind=kind, k=cfg["k"], t=cfg.get("t"))
-    if backend == "sht":
-        app = SphereSHTApplicator(grid, spec, p, q)
-    elif backend == "direct":
-        app = SphereDenseApplicator(grid, spec, p, q)
-    else:
-        raise ConfigError(f"sphere backend must be sht or direct, got {backend!r}")
-    ang = grid.angles()
-    return app, ang, ang
-
-
 @transport.command("sphere")
 @click.option("--config", "config_path", required=True, type=click.Path())
 @click.option("--backend", type=click.Choice(["sht", "direct"]), default=None)
@@ -487,7 +458,7 @@ def transport_sphere(config_path, backend, out_path, threads, renormalize):
                       backend=backend)
 
     def work():
-        built = _build_sphere_applicator(cfg, renormalize)
+        built = _build_applicator(cfg, renormalize, "heat")
         _solve_and_report(cfg, out, ("phi", "theta"), *built)
 
     return _guard_numerics(work, out)
@@ -585,7 +556,7 @@ def antenna(config_path, out_path, threads):
     cfg, out = _setup(config_path, _ANTENNA_SCHEMA, "antenna", threads, out_path)
 
     def work():
-        app, ang, _ = _build_sphere_applicator(cfg, kind="antenna")
+        app, ang, _ = _build_applicator(cfg, False, "antenna")
         _solve_and_report(cfg, out, ("phi", "theta"), app, ang, ang,
                           partial(_reflector_report, app, out))
 

@@ -156,7 +156,9 @@ def _check_finite(arr, stage, m):
 
 
 def m_max_schedule(k, A=2.0):
-    """Default step cap max(1, ceil(A k ln max(k, 2)))."""
+    """Default step cap max(1, ceil(A k ln max(k, 2))), for a finite A > 0."""
+    if not 0.0 < A < np.inf:  # also refuses NaN
+        raise ValueError(f"schedule constant A must be finite and > 0, got {A}")
     return max(1, int(np.ceil(A * k * np.log(max(k, 2)))))
 
 

@@ -48,6 +48,7 @@ __all__ = [
     "torus_cost",
     "torus_cost_matrix",
     "torus_heat_kernel",
+    "heat_image_cutoff",
     "torus_log_kernel",
     "fft_apply",
     "FFTUnderflowError",
@@ -146,20 +147,21 @@ def torus_cost_matrix(xs, ys):
     return torus_cost(xs[:, None, :], ys[None, :, :])
 
 
-def torus_heat_kernel(delta, t, images=3):
+def torus_heat_kernel(delta, t, images=None):
     """Periodized heat kernel on the n-torus by image sum.
 
     Evaluates (4 pi t)^(-n/2) * sum over |m|_inf <= images of
     exp(-|delta + m|^2 / (4 t)) for displacement arrays of shape (..., n).
-    The cutoff default images=3 is far below 1e-12 relative truncation for
-    t <= 0.05; larger times may need a larger cutoff (the spectral sum in
-    the tests provides the cross-check). The lattice and point-cloud
-    kernels take theirs from TorusKernelSpec.image_cutoff.
+    The default images=None takes heat_image_cutoff(t), which converges
+    to rounding for displacements in [-1/2, 1/2); the spectral sum in the
+    tests provides the cross-check.
     """
     if t <= 0:
         raise ValueError(f"heat time must be positive, got t={t}")
     delta = np.asarray(delta, dtype=float)
     n = delta.shape[-1]
+    if images is None:
+        images = heat_image_cutoff(t)
     log_val = _log_heat_image_sum(delta, t, images, n)
     return np.exp(log_val)
 
@@ -197,7 +199,18 @@ def _log_axis_images(d, t, images):
     return top + np.log(total)
 
 
-MIN_IMAGE_SHELLS = 3  # fewest image shells the lattice and cloud heat kernels sum
+MIN_IMAGE_SHELLS = 3  # fewest image shells a heat kernel sums
+
+
+def heat_image_cutoff(t):
+    """Image shells summed for a displacement in [-1/2, 1/2) at heat time t.
+
+    Every neglected image lies at least M + 1/2 away, so its term is
+    below eps relative once M >= sqrt(4 t ln(1/eps)) - 1/2;
+    MIN_IMAGE_SHELLS is the floor, raised only when t needs it (t > 0.05).
+    """
+    need = math.ceil(math.sqrt(4.0 * t * math.log(1.0 / _EPS)) - 0.5)
+    return max(MIN_IMAGE_SHELLS, need)
 
 
 @dataclass(frozen=True)
@@ -233,48 +246,39 @@ class TorusKernelSpec:
 
     @property
     def image_cutoff(self):
-        """Image shells summed for a displacement in [-1/2, 1/2).
+        """Image shells the heat kernel sums: heat_image_cutoff(heat_time)."""
+        return heat_image_cutoff(self.heat_time)
 
-        Every neglected image lies at least M + 1/2 away, so its term is
-        below eps relative once M >= sqrt(4 t ln(1/eps)) - 1/2;
-        MIN_IMAGE_SHELLS is the floor, raised only when t needs it.
+    def log_kernel(self, delta):
+        """-k * cost at displacements of shape (..., n): the normalized log kernel.
+
+        Gaussian: the cost is the half squared periodic distance. Heat: the
+        log of the image sum over the minimum-image displacement, less its
+        value at zero displacement, so the kernel lies in (0, 1].
         """
-        need = math.ceil(math.sqrt(4.0 * self.heat_time * math.log(1.0 / _EPS)) - 0.5)
-        return max(MIN_IMAGE_SHELLS, need)
+        delta = np.asarray(delta, dtype=float)
+        if self.kind == "gaussian":
+            return -self.k * torus_cost(delta, 0.0)
+        n, t, images = delta.shape[-1], self.heat_time, self.image_cutoff
+        return (_log_heat_image_sum(_wrap(delta), t, images, n)
+                - _log_heat_image_sum(np.zeros(n), t, images, n))
 
     def log_cost_profile(self, grid):
-        """-k * cost on the displacement lattice, shape (k,)*n.
-
-        This is the log of the kernel profile; for the heat kernel the
-        profile is normalized to 1 at zero displacement.
-        """
+        """log_kernel on the displacement lattice, shape (k,)*n."""
         if grid.k != self.k:
             raise ValueError(
                 f"grid resolution {grid.k} does not match kernel sharpness {self.k}"
             )
-        deltas = grid.displacements()
-        if self.kind == "gaussian":
-            return -self.k * torus_cost(deltas, np.zeros(grid.n))
-        log_k = _log_heat_image_sum(_wrap(deltas), self.heat_time, self.image_cutoff,
-                                    grid.n)
-        origin = (0,) * grid.n
-        return log_k - log_k[origin]
+        return self.log_kernel(grid.displacements())
 
 
 def torus_log_kernel(xs, ys, spec):
-    """Log-kernel matrix -k c(xs_i, ys_j) between torus point sets.
+    """Log-kernel matrix spec.log_kernel(xs_i - ys_j) between torus point sets.
 
-    Gaussian: c is the half squared periodic distance. Heat: the log of
-    the image sum, normalized to 0 at zero displacement as on the lattice.
     Dense; DenseApplicator.from_log_kernel calls it only under the cap.
     """
-    if spec.kind == "gaussian":
-        return -float(spec.k) * torus_cost_matrix(xs, ys)
-    n = xs.shape[1]
-    delta = _wrap(xs[:, None, :] - ys[None, :, :])
-    images = spec.image_cutoff
-    log_k = _log_heat_image_sum(delta, spec.heat_time, images, n)
-    return log_k - _log_heat_image_sum(np.zeros(n), spec.heat_time, images, n)
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    return spec.log_kernel(xs[:, None, :] - ys[None, :, :])
 
 
 def _circulant_log_kernel(log_profile):

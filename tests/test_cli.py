@@ -357,6 +357,36 @@ class TestConfigTypes:
         assert {key: config[key] for key in payload} == payload
 
 
+class TestConfigRanges:
+    """A value its command cannot use is a config error that names its key."""
+
+    TORUS = {"manifold": "torus", "k": 16, "f": SMOOTH_F, "g": SMOOTH_G}
+
+    @pytest.mark.parametrize(
+        "argv, payload, key",
+        [
+            (["transport", "torus"], dict(TORUS, A=-1), "A"),
+            (["transport", "torus"], dict(TORUS, A=0), "A"),
+            (["transport", "torus", "--schedule-A", "0"], TORUS, "A"),
+            (["transport", "torus", "--schedule-A", "-1"], TORUS, "A"),
+            (["diagnose", "stationary-phase"], {"ks": []}, "ks"),
+            (["diagnose", "stationary-phase"], {"ks": [128, 64]}, "ks"),
+            (["diagnose", "density"], {"radius": -0.1}, "radius"),
+            (["diagnose", "bench"], {"torus_sizes": []}, "torus_sizes"),
+            (["diagnose", "bench"], {"torus_sizes": [256, 256]}, "torus_sizes"),
+            (["diagnose", "bench"], {"sphere_bandwidths": [8]}, "sphere_bandwidths"),
+        ],
+        ids=["A-negative", "A-zero", "schedule-A-zero", "schedule-A-negative",
+             "ks-empty", "ks-decreasing", "radius-negative", "torus-sizes-empty",
+             "torus-sizes-repeated", "sphere-bandwidths-one"],
+    )
+    def test_out_of_range_rejected(self, tmp_path, capsys, argv, payload, key):
+        rc = main(argv + ["--config", _cfg(tmp_path, payload),
+                          "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert f"config key {key!r} must be" in capsys.readouterr().err
+
+
 class TestRemovedOptions:
     """Keys and values that nothing read are rejected, not silently accepted."""
 
@@ -461,6 +491,41 @@ class TestTransportSphere:
         summary = _summary(out)
         assert summary["N"] == 10
         assert (out / "potentials_target.csv").exists()
+
+    @staticmethod
+    def _sphere_cloud(path, rng, m):
+        phi = rng.uniform(0.0, 2.0 * np.pi, m)
+        theta = rng.uniform(0.4, np.pi - 0.4, m)
+        path.write_text("".join(f"sphere {a:.8f} {b:.8f}\n" for a, b in zip(phi, theta)),
+                        encoding="utf-8")
+        return str(path)
+
+    def test_sphere_cloud_and_expression(self, tmp_path, rng):
+        # either side may be a cloud, as on the torus
+        cfg = _cfg(
+            tmp_path,
+            {"manifold": "sphere", "k": 4, "W": 8, "backend": "direct",
+             "source_cloud": self._sphere_cloud(tmp_path / "s.txt", rng, 10),
+             "g": "0.4*cos(theta)", "tol": 1e-9},
+        )
+        out = tmp_path / "run"
+        assert main(["transport", "sphere", "--config", cfg, "--out", str(out)]) == 0
+        summary = _summary(out)
+        assert summary["stop_reason"] == "tol" and summary["N"] == 10
+        header, target = _csv(out / "potentials_target.csv")
+        assert header == ("phi", "theta", "v") and target.shape == (18 * 18, 3)
+
+    def test_sphere_clouds_build_no_grid(self, tmp_path, rng):
+        # W = 200 is past the grid's bandwidth cap; clouds never sample on it
+        cfg = _cfg(
+            tmp_path,
+            {"manifold": "sphere", "k": 6, "W": 200, "backend": "direct",
+             "source_cloud": self._sphere_cloud(tmp_path / "s.txt", rng, 10),
+             "target_cloud": self._sphere_cloud(tmp_path / "t.txt", rng, 7)},
+        )
+        out = tmp_path / "run"
+        assert main(["transport", "sphere", "--config", cfg, "--out", str(out)]) == 0
+        assert _summary(out)["N"] == 10
 
     def test_sphere_cloud_past_the_cap_rejected(self, tmp_path, capsys):
         cloud = tmp_path / "big.txt"
@@ -760,8 +825,7 @@ class TestSharedReport:
                 return app, xs, ys
             return built
 
-        for builder in ("_build_torus_applicator", "_build_sphere_applicator"):
-            monkeypatch.setattr(cli, builder, counting(getattr(cli, builder)))
+        monkeypatch.setattr(cli, "_build_applicator", counting(cli._build_applicator))
         out = tmp_path / "run"
         assert main(argv + ["--config", _cfg(tmp_path, payload), "--out", str(out)]) == 0
         summary = _summary(out)

@@ -17,6 +17,7 @@ from geosink.sinkhorn import (
     entropic_cost,
     hilbert_distance,
     initial_state,
+    m_max_schedule,
     marginal_errors,
     normalized_potentials,
     plan_entry,
@@ -233,6 +234,15 @@ class TestRunUntil:
         state = run_until(initial_state(kern), kern, tol=None, A=0.3)
         assert state.m == int(np.ceil(0.3 * 8 * np.log(8.0)))
         assert state.stop_reason == "m_max"
+
+    @pytest.mark.parametrize("A", [0.0, -1.0, float("nan"), float("inf")])
+    def test_schedule_needs_positive_finite_A(self, A):
+        # a non-positive A once capped the solve at one silent step
+        with pytest.raises(ValueError, match="A must be finite and > 0"):
+            m_max_schedule(16, A)
+        kern = _two_by_two()
+        with pytest.raises(ValueError, match="A must be finite and > 0"):
+            run_until(initial_state(kern), kern, tol=1e-9, A=A)
 
     def test_stagnation_stop(self):
         kern = _uniform_lattice(16)

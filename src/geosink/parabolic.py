@@ -27,6 +27,7 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass
 from functools import lru_cache
+from math import isfinite
 
 import numpy as np
 from scipy.ndimage import map_coordinates, spline_filter
@@ -54,6 +55,24 @@ __all__ = [
 ]
 
 DEFAULT_DT_FACTOR = 0.2
+
+# the screens: a sum over every entry is finite only if each entry is
+_sum = np.add.reduce
+
+
+@lru_cache(maxsize=256)
+def _constant(value):
+    """value as a read-only 0-d array, a scalar operand numpy takes as is.
+
+    A Python float is converted on every ufunc call; the 0-d array is not,
+    and gives the same bits. Steppers on one grid share theirs.
+    """
+    c = np.array(float(value))
+    c.flags.writeable = False
+    return c
+
+
+_ONE, _TWO, _THREE, _FOUR, _SIX = map(_constant, (1, 2, 3, 4, 6))
 
 
 def c_transform(u, cost):
@@ -97,7 +116,7 @@ def _periodic_pad(u):
     """u with one wrapped layer on every side.
 
     Every periodic neighbour the stencils read is then a slice of this one
-    copy (see _window), which is several times cheaper than one np.roll
+    copy (see _Stepper), which is several times cheaper than one np.roll
     per neighbour and holds the same values.
     """
     ext = u
@@ -108,30 +127,14 @@ def _periodic_pad(u):
     return ext
 
 
-def _rewrap(ext):
-    """Refill the wrapped layer of a _periodic_pad copy from its interior."""
-    for a in range(ext.ndim):
+def _wrap_layer(ndim):
+    """(destination, source) index pairs that refill the wrapped layer of a
+    _periodic_pad copy from its interior, axis by axis."""
+    pairs = []
+    for a in range(ndim):
         lead = (slice(None),) * a
-        ext[lead + (0,)] = ext[lead + (-2,)]
-        ext[lead + (-1,)] = ext[lead + (1,)]
-
-
-@lru_cache(maxsize=None)
-def _window(*offsets):
-    """Index of u at node + offsets (periodic) into _periodic_pad(u)."""
-    return tuple(slice(1 + o, (-1 + o) or None) for o in offsets)
-
-
-@lru_cache(maxsize=None)
-def _axis_windows(ndim):
-    """Per axis, the (forward, backward) neighbour windows."""
-    return tuple(
-        (
-            _window(*(1 if b == a else 0 for b in range(ndim))),
-            _window(*(-1 if b == a else 0 for b in range(ndim))),
-        )
-        for a in range(ndim)
-    )
+        pairs += [(lead + (0,), lead + (-2,)), (lead + (-1,), lead + (1,))]
+    return tuple(pairs)
 
 
 def check_quasiconvex(u, grid=None):
@@ -163,9 +166,10 @@ class _SplineTaps:
     _TAPS = np.arange(-1, 3)
     _GATHER_BLOCK = 512
 
-    def __init__(self, coeffs):
+    def __init__(self, coeffs, size=None):
+        """size is the number of points per call, by default one per coefficient."""
         self.coeffs = coeffs
-        size = coeffs.size
+        size = coeffs.size if size is None else size
         self.period = np.array(coeffs.shape, dtype=float)[:, None]
         self.cells = np.full((2, size), np.nan)
         self.patches = np.empty((4, 4, size))
@@ -180,29 +184,29 @@ class _SplineTaps:
         # wrap as map_coordinates does: x - N floor(x / N) is x itself on
         # [0, N) and map_coordinates' wrapped value elsewhere, but where
         # x / N rounds to an integer, which may land a period away
-        np.divide(coords, self.period, out=lo)
-        np.floor(lo, out=lo)
-        np.multiply(lo, self.period, out=lo)
-        np.subtract(coords, lo, out=y)
-        np.floor(y, out=lo)
-        np.subtract(y, lo, out=y)
-        np.subtract(1.0, y, out=z)
+        np.divide(coords, self.period, lo)
+        np.floor(lo, lo)
+        np.multiply(lo, self.period, lo)
+        np.subtract(coords, lo, y)
+        np.floor(y, lo)
+        np.subtract(y, lo, y)
+        np.subtract(_ONE, y, z)
         # weights 1 and 2 are (s^2 (s - 2) 3 + 4) / 6 at s = y and s = 1 - y,
         # weight 0 is (1 - y)^3 / 6, and weight 3 closes the sum to one;
         # the squares wait in the slots of weights 3 and 0
-        np.multiply(y, y, out=w[:, 3])
-        np.multiply(z, z, out=w[:, 0])
-        np.subtract(yz, 2.0, out=w[:, 1:3])
-        np.multiply(w[:, 3], w[:, 1], out=w[:, 1])
-        np.multiply(w[:, 0], w[:, 2], out=w[:, 2])
-        np.multiply(w[:, 1:3], 3.0, out=w[:, 1:3])
-        np.add(w[:, 1:3], 4.0, out=w[:, 1:3])
-        np.divide(w[:, 1:3], 6.0, out=w[:, 1:3])
-        np.multiply(w[:, 0], z, out=w[:, 0])
-        np.divide(w[:, 0], 6.0, out=w[:, 0])
-        np.subtract(1.0, w[:, 0], out=w[:, 3])
-        np.subtract(w[:, 3], w[:, 1], out=w[:, 3])
-        np.subtract(w[:, 3], w[:, 2], out=w[:, 3])
+        np.multiply(y, y, w[:, 3])
+        np.multiply(z, z, w[:, 0])
+        np.subtract(yz, _TWO, w[:, 1:3])
+        np.multiply(w[:, 3], w[:, 1], w[:, 1])
+        np.multiply(w[:, 0], w[:, 2], w[:, 2])
+        np.multiply(w[:, 1:3], _THREE, w[:, 1:3])
+        np.add(w[:, 1:3], _FOUR, w[:, 1:3])
+        np.divide(w[:, 1:3], _SIX, w[:, 1:3])
+        np.multiply(w[:, 0], z, w[:, 0])
+        np.divide(w[:, 0], _SIX, w[:, 0])
+        np.subtract(_ONE, w[:, 0], w[:, 3])
+        np.subtract(w[:, 3], w[:, 1], w[:, 3])
+        np.subtract(w[:, 3], w[:, 2], w[:, 3])
 
         moved = np.flatnonzero((lo != self.cells).any(axis=0))
         n0, n1 = self.coeffs.shape
@@ -248,7 +252,7 @@ class _Forcing:
         ma_residual, and every 1-D one calls the spline routine directly.
         """
         if self._taps is None and self.grid.n == 2 and self._evaluated:
-            self._taps = _SplineTaps(self.g_coeffs)
+            self._taps = _SplineTaps(self.g_coeffs, coords.shape[1])
         if self._taps is not None:
             return self._taps(coords, out)
         self._evaluated = True
@@ -272,6 +276,55 @@ def _sample_exponent(f, grid):
     return np.asarray(f(grid.points()), dtype=float).reshape(grid.shape)
 
 
+def _hessian_stencil(u, axes, corners, diag, mixed, dx):
+    """The module's one Hessian stencil, bound to its views and buffers.
+
+    The returned hessian() writes 1 + u_ii per axis into the rows of diag
+    and, in 2-D, u_xy into mixed; hessian(det=True) then also forms
+    det(I + H) in diag's first row (1 + u_xx itself in 1-D) and returns it.
+    """
+    multiply, subtract, add, divide = np.multiply, np.subtract, np.add, np.divide
+    dx2, four_dx2 = _constant(dx * dx), _constant(4.0 * dx * dx)
+    second = [(d, fwd, bwd) for d, (fwd, bwd) in zip(diag, axes)]
+
+    def hessian(det=False):
+        for d, fwd, bwd in second:
+            multiply(_TWO, u, d)
+            subtract(fwd, d, d)
+            add(d, bwd, d)
+            divide(d, dx2, d)
+            add(_ONE, d, d)
+        if corners:
+            pp, pm, mp, mm = corners
+            subtract(pp, pm, mixed)
+            subtract(mixed, mp, mixed)
+            add(mixed, mm, mixed)
+            divide(mixed, four_dx2, mixed)
+            if det:
+                multiply(diag[0], diag[1], diag[0])
+                multiply(mixed, mixed, mixed)
+                subtract(diag[0], mixed, diag[0])
+        return diag[0]
+
+    return hessian
+
+
+def _check_det(hessian, det):
+    """Raise unless det(I + H(u)) > 0 and finite at every node.
+
+    The exact test behind a failed screen: hessian is a _hessian_stencil
+    and det the interior of its diag buffer's first row. It writes only
+    the stencil's buffers, so a finished rhs stays as it was.
+    """
+    hessian(det=True)
+    # min > 0 fails on NaN too, so max < inf leaves det finite
+    if not (det.min() > 0.0 and det.max() < np.inf):
+        raise NumericalAbortError(
+            "det(I + H) lost positivity",
+            {"min_det": float(det.min()), "t_context": "parabolic step"},
+        )
+
+
 class _Stepper:
     """The explicit Euler step, fused onto preallocated buffers.
 
@@ -284,94 +337,132 @@ class _Stepper:
         rhs = log det - g(x + grad u) + f,   u <- u + dt rhs
 
     in the same order, each into a buffer, so a step gives the bits of
-    those expressions. _hessian() is the module's one Hessian stencil:
-    log det and min_eig both read it. min_eig needs no forcing.
+    those expressions. _hessian (_hessian_stencil) is the module's one
+    Hessian stencil: log det, min_eig and the positivity test all read
+    it. min_eig needs no forcing.
+
+    The stencils run on the band, the run of the padded copy's flat
+    storage from the first interior node to the last, so every operand
+    is one contiguous run. In 1-D the band is u itself; in 2-D it also
+    crosses the wrapped layer between rows, 2 entries in every N + 2,
+    whose results nothing reads: the step refills the wrapped layer, and
+    the screens, min_eig and the residual read the interior only. The
+    buffers hold the band laid out as the padded copy's interior rows,
+    (N, N + 2) in 2-D. The stencil, rhs and step are closures that bind
+    their views, buffers, ufuncs and scalar operands (as _constant 0-d
+    arrays) once, here.
+
+    A step screens, then diagnoses. The rhs is computed unchecked, so
+    where det <= 0 its log leaves NaN or -inf. One sum over the finished
+    rhs and one over the updated u screen them: a finite sum proves every
+    entry finite. Only a failed screen runs the exact test (det > 0 and
+    finite at every node, then every entry of u finite), which raises
+    where an entrywise check would, with the same message; a sum that
+    overflows on finite entries passes it. The callers hold np.errstate
+    around the stepping, so the unchecked arithmetic warns of nothing.
     """
 
     def __init__(self, forcing, u, dx):
         if u.ndim not in (1, 2):
             raise ValueError("the parabolic solver supports n in {1, 2}")
-        self.forcing = forcing
-        self.dx = dx
-        self.ext = _periodic_pad(np.asarray(u, dtype=float))
-        self.u = self.ext[_window(*(0,) * u.ndim)]
-        self._neighbours = [(self.ext[f], self.ext[b]) for f, b in _axis_windows(u.ndim)]
-        self._corners = [self.ext[_window(*o)] for o in ((1, 1), (1, -1), (-1, 1), (-1, -1))
-                         ] if u.ndim == 2 else None
-        self._diag = np.empty((u.ndim,) + u.shape)
-        self._coords = np.empty((u.ndim,) + u.shape)
-        # u_xy, then g(x + grad u)
-        self._mixed = np.empty(u.shape)
-        # 1-D: det is 1 + u_xx itself; 2-D: a buffer of its own
-        self._rhs = self._diag[0] if u.ndim == 1 else np.empty(u.shape)
-        self._flat_coords = self._coords.reshape(u.ndim, -1)
-        self._flat_g = self._mixed.reshape(-1)
+        n, N = u.ndim, u.shape[0]
+        self.ext = ext = _periodic_pad(np.asarray(u, dtype=float))
+        self.u = ext[(slice(1, -1),) * n]
+        self._flat = flat = ext.reshape(-1)
+        # flat offsets of one step along each axis; the band starts at the
+        # first interior node, one step along every axis from the corner
+        steps = (N + 2, 1)[2 - n :]
+        first = sum(steps)
+        size = (N - 1) * first + 1
 
-    def _hessian(self):
-        """1 + u_ii per axis into the diag buffer and, in 2-D, u_xy into mixed."""
-        u, dx, diag = self.u, self.dx, self._diag
-        for d, (fwd, bwd) in zip(diag, self._neighbours):
-            np.multiply(2.0, u, out=d)
-            np.subtract(fwd, d, out=d)
-            np.add(d, bwd, out=d)
-            np.divide(d, dx * dx, out=d)
-            np.add(1.0, d, out=d)
-        if u.ndim == 2:
-            pp, pm, mp, mm = self._corners
-            b = self._mixed
-            np.subtract(pp, pm, out=b)
-            np.subtract(b, mp, out=b)
-            np.add(b, mm, out=b)
-            np.divide(b, 4.0 * dx * dx, out=b)
+        def shifted(offset):
+            """The band of u at node + a flat offset, a slice of the storage."""
+            return flat[first + offset : first + offset + size]
+
+        rows = (N, N + 2)[:n]
+        inside = (slice(None), slice(0, N))[:n]
+
+        def band(a):
+            """The band of a buffer shaped (..., *rows), as (..., size)."""
+            return a.reshape(a.shape[: a.ndim - n] + (-1,))[..., :size]
+
+        self._axes = [(shifted(s), shifted(-s)) for s in steps]
+        self._u_band = shifted(0)
+        # u at node + (1, 1), (1, -1), (-1, 1) and (-1, -1)
+        corners = [shifted(o) for o in (N + 3, N + 1, -N - 1, -N - 3)] if n == 2 else []
+        diag = np.empty((n,) + rows)
+        # u_xy, then g(x + grad u)
+        mixed = np.empty(rows)
+        self._diag_in, self._mixed_in = diag[(slice(None),) + inside], mixed[inside]
+        self._hessian = _hessian_stencil(self._u_band, self._axes, corners, band(diag),
+                                         band(mixed), dx)
+        if forcing is not None:
+            rhs, coords = np.empty(rows), np.empty((n,) + rows)
+            f_vals, nodes = np.zeros(rows), np.zeros((n,) + rows)
+            f_vals[inside] = forcing.f_vals
+            nodes[(slice(None),) + inside] = forcing.nodes
+            self.rhs, self.step = self._bind_step(
+                forcing.g_at, band(rhs), rhs[inside], band(coords), band(nodes),
+                band(mixed), band(f_vals), dx)
 
     def min_eig(self):
         """Smallest eigenvalue of I + H(u) over the nodes."""
         self._hessian()
-        a = self._diag[0]
+        a = self._diag_in[0]
         if self.u.ndim == 1:
             return float(a.min())
-        c, b = self._diag[1], self._mixed
+        c, b = self._diag_in[1], self._mixed_in
         radius = np.sqrt(0.25 * (a - c) ** 2 + b * b)
         return float((0.5 * (a + c) - radius).min())
 
-    def _log_det(self):
-        """log det(I + H(u)) into the rhs buffer; raises unless det > 0."""
-        self._hessian()
-        det = self._rhs
-        if self.u.ndim == 2:
-            b = self._mixed
-            np.multiply(self._diag[0], self._diag[1], out=det)
-            np.multiply(b, b, out=b)
-            np.subtract(det, b, out=det)
-        # min > 0 fails on NaN too, so max < inf leaves det finite
-        if not (det.min() > 0.0 and det.max() < np.inf):
-            raise NumericalAbortError(
-                "det(I + H) lost positivity",
-                {"min_det": float(det.min()), "t_context": "parabolic step"},
-            )
-        return np.log(det, out=det)
+    def check_det(self):
+        """Raise unless det(I + H(u)) > 0 and finite at every node (_check_det)."""
+        _check_det(self._hessian, self._diag_in[0])
 
-    def rhs(self):
-        """log det(I + H(u)) - g(x + grad u) + f, in a buffer the next call reuses."""
-        rhs = self._log_det()
-        dx, coords = self.dx, self._coords
-        for x, nodes, (fwd, bwd) in zip(coords, self.forcing.nodes, self._neighbours):
-            np.subtract(fwd, bwd, out=x)
-            np.divide(x, 2.0 * dx, out=x)
-            np.divide(x, dx, out=x)
-            np.add(nodes, x, out=x)
-        self.forcing.g_at(self._flat_coords, self._flat_g)
-        np.subtract(rhs, self._mixed, out=rhs)
-        np.add(rhs, self.forcing.f_vals, out=rhs)
-        return rhs
+    def _bind_step(self, g_at, rhs_band, rhs_in, coords, nodes, g, f, dx):
+        """rhs() and step(dt, where, t), closed over the band views.
 
-    def step(self, dt):
-        """u <- u + dt * rhs, in place."""
-        rhs = self.rhs()
-        np.multiply(dt, rhs, out=rhs)
-        np.add(self.u, rhs, out=self.u)
-        _rewrap(self.ext)
-        return self.u
+        rhs() returns log det(I + H(u)) - g(x + grad u) + f, unchecked, as
+        the interior of a buffer the next call reuses. step advances u in
+        place and returns its interior; where and t name it in an abort.
+        """
+        multiply, subtract, add, divide, log = (np.multiply, np.subtract, np.add,
+                                                np.divide, np.log)
+        # nothing here refers back to self, so a stepper is freed as soon
+        # as its last reference goes, without waiting for the cycle collector
+        hessian, det = self._hessian, self._diag_in[0]
+        u, interior, ext, flat = self._u_band, self.u, self.ext, self._flat
+        wrap_layer = _wrap_layer(interior.ndim)
+        gradient = [(x, x_nodes, fwd, bwd) for x, x_nodes, (fwd, bwd)
+                    in zip(coords, nodes, self._axes)]
+        dx, two_dx = _constant(dx), _constant(2.0 * dx)
+
+        def rhs():
+            log(hessian(det=True), rhs_band)
+            for x, x_nodes, fwd, bwd in gradient:
+                subtract(fwd, bwd, x)
+                divide(x, two_dx, x)
+                divide(x, dx, x)
+                add(x_nodes, x, x)
+            g_at(coords, g)
+            subtract(rhs_band, g, rhs_band)
+            add(rhs_band, f, rhs_band)
+            return rhs_in
+
+        def step(dt, where, t):
+            if not isfinite(_sum(rhs(), None)):
+                _check_det(hessian, det)
+            multiply(dt, rhs_band, rhs_band)
+            add(u, rhs_band, u)
+            for dst, src in wrap_layer:
+                ext[dst] = ext[src]
+            # the wrapped layer holds copies of u, so ext is finite only if u is
+            if not isfinite(_sum(flat, None)) and not np.isfinite(interior).all():
+                raise NumericalAbortError(f"non-finite values in parabolic {where}",
+                                          {"t": t})
+            return interior
+
+        return rhs, step
 
 
 def parabolic_step(state, f, g, grid=None):
@@ -380,22 +471,21 @@ def parabolic_step(state, f, g, grid=None):
     f and g may be DensityFields, expression strings, or sampled arrays.
     For repeated stepping prefer solve_parabolic, which samples and
     prefilters the forcing once. No mass normalization is applied here;
-    the raw right-hand side is integrated as given.
+    the raw right-hand side is integrated as given. The step is
+    solve_parabolic's, screens included.
     """
     if grid is None:
         grid = TorusGrid(state.u.ndim, state.u.shape[0])
     stepper = _Stepper(_Forcing(grid, f, g, normalize=False), state.u, state.dx)
-    u_next = stepper.step(state.dt).copy()
-    if not np.isfinite(u_next).all():
-        raise NumericalAbortError(
-            "non-finite values in parabolic step", {"t": state.t}
-        )
+    with np.errstate(all="ignore"):
+        u_next = stepper.step(state.dt, "step", state.t).copy()
+        min_eig = stepper.min_eig()
     return ParabolicState(
         u=u_next,
         t=state.t + state.dt,
         dx=state.dx,
         dt=state.dt,
-        min_eig=stepper.min_eig(),
+        min_eig=min_eig,
     )
 
 
@@ -410,6 +500,13 @@ def solve_parabolic(u0, f, g, T, grid, dt=None, record_times=None, normalize=Tru
     state; pass normalize=False to integrate the raw equation. dt must be
     finite and positive and T finite and nonnegative, or no step count
     reaches T.
+
+    Each step screens its rhs and its new u with one sum each and runs
+    the exact test only when a sum is not finite (see _Stepper), under
+    one np.errstate for the whole march. A step that loses det(I + H) > 0
+    raises NumericalAbortError("det(I + H) lost positivity"), a non-finite
+    u "non-finite values in parabolic run" with the step's start time t,
+    and a record time with min_eig <= 0 "quasi-convexity lost during run".
 
     Returns the list of recorded ParabolicStates.
     """
@@ -429,32 +526,28 @@ def solve_parabolic(u0, f, g, T, grid, dt=None, record_times=None, normalize=Tru
         times.append(float(T))
 
     stepper = _Stepper(_Forcing(grid, f, g, normalize), u, dx)
-    min_eig = stepper.min_eig()
-    if not min_eig > 0.0:
-        raise NumericalAbortError(
-            "initial state is not quasi-convex", {"min_eig": min_eig}
-        )
-
     out = []
     t = 0.0
-    u = stepper.u  # advanced in place by each step
-    for target in times:
-        while t < target - tiny:
-            step = min(dt, target - t)
-            stepper.step(step)
-            if not np.isfinite(u).all():
-                raise NumericalAbortError(
-                    "non-finite values in parabolic run", {"t": t}
-                )
-            t += step
-        # until the first step u is the initial state, checked above
-        if t > 0.0:
-            min_eig = stepper.min_eig()
-        if min_eig <= 0.0:
+    u, step = stepper.u, stepper.step  # u is advanced in place by each step
+    with np.errstate(all="ignore"):
+        min_eig = stepper.min_eig()
+        if not min_eig > 0.0:
             raise NumericalAbortError(
-                "quasi-convexity lost during run", {"t": t, "min_eig": min_eig}
+                "initial state is not quasi-convex", {"min_eig": min_eig}
             )
-        out.append(ParabolicState(u=u.copy(), t=t, dx=dx, dt=dt, min_eig=min_eig))
+        for target in times:
+            while t < target - tiny:
+                h = min(dt, target - t)
+                step(h, "run", t)
+                t += h
+            # until the first step u is the initial state, checked above
+            if t > 0.0:
+                min_eig = stepper.min_eig()
+            if min_eig <= 0.0:
+                raise NumericalAbortError(
+                    "quasi-convexity lost during run", {"t": t, "min_eig": min_eig}
+                )
+            out.append(ParabolicState(u=u.copy(), t=t, dx=dx, dt=dt, min_eig=min_eig))
     return out
 
 
@@ -475,6 +568,9 @@ def ma_residual(u, f, g, grid, normalize=True):
 
     Expression strings are sampled and prefiltered once per (grid, f, g,
     normalize) and reused by later calls, as along a recorded trajectory.
+    The rhs is the step's; its sup-norm is the screen, so only a
+    non-finite residual runs the positivity test, which raises
+    NumericalAbortError("det(I + H) lost positivity") as a step does.
     """
     if isinstance(f, str) and isinstance(g, str):
         # the copy shares the samples but starts without a tap cache, so
@@ -483,7 +579,12 @@ def ma_residual(u, f, g, grid, normalize=True):
     else:
         forcing = _Forcing(grid, f, g, normalize)
     u = np.asarray(u, dtype=float).reshape(grid.shape)
-    return float(np.abs(_Stepper(forcing, u, grid.spacing).rhs()).max())
+    stepper = _Stepper(forcing, u, grid.spacing)
+    with np.errstate(all="ignore"):
+        residual = float(np.abs(stepper.rhs()).max())
+        if not isfinite(residual):
+            stepper.check_det()
+    return residual
 
 
 # ---------------------------------------------------------------------------

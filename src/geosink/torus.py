@@ -151,10 +151,12 @@ def torus_heat_kernel(delta, t, images=None):
     """Periodized heat kernel on the n-torus by image sum.
 
     Evaluates (4 pi t)^(-n/2) * sum over |m|_inf <= images of
-    exp(-|delta + m|^2 / (4 t)) for displacement arrays of shape (..., n).
+    exp(-|delta + m|^2 / (4 t)) for displacement arrays of shape (..., n),
+    each displacement first reduced to its minimum image in [-1/2, 1/2),
+    as TorusKernelSpec.log_kernel does, so the kernel is periodic in delta.
     The default images=None takes heat_image_cutoff(t), which converges
-    to rounding for displacements in [-1/2, 1/2); the spectral sum in the
-    tests provides the cross-check.
+    to rounding on that window; the spectral sum in the tests provides
+    the cross-check.
     """
     if t <= 0:
         raise ValueError(f"heat time must be positive, got t={t}")
@@ -162,7 +164,7 @@ def torus_heat_kernel(delta, t, images=None):
     n = delta.shape[-1]
     if images is None:
         images = heat_image_cutoff(t)
-    log_val = _log_heat_image_sum(delta, t, images, n)
+    log_val = _log_heat_image_sum(_wrap(delta), t, images, n)
     return np.exp(log_val)
 
 

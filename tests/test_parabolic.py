@@ -1,5 +1,7 @@
 """c-transforms, the parabolic reference solver, and the exact circle oracle."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -430,6 +432,90 @@ class TestFusedStepper:
         state = ParabolicState(u=np.zeros(grid.shape), t=0.0, dx=0.25, dt=1e-3)
         with pytest.raises(ValueError, match="n in"):
             parabolic_step(state, np.zeros(64), np.zeros(64), grid)
+
+
+def _raised(call):
+    """The NumericalAbortError call raises, with every warning made an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalAbortError) as info:
+            call()
+    return info.value
+
+
+class TestScreens:
+    """Each step screens its rhs and its u with one sum each and runs the
+    exact test only when a sum is not finite. The errors keep the type,
+    message, diagnostics and step of an entrywise check, and no
+    RuntimeWarning of the unchecked arithmetic escapes."""
+
+    def test_mid_run_determinant_loss(self):
+        # test_oversized_dt_blows_up's instance: 1 + u_xx turns negative
+        # in the state after three steps, so the fourth step aborts
+        grid = TorusGrid(1, 32)
+        dt = grid.spacing
+
+        def run(T):
+            return solve_parabolic(np.zeros(32), "0.2*cos(2*pi*x1)", "0.2*sin(2*pi*x1)",
+                                   T, grid, dt=dt)
+
+        err = _raised(lambda: run(1.0))
+        assert str(err) == "det(I + H) lost positivity"
+        assert err.diagnostics == {"min_det": -0.7682491788363315,
+                                   "t_context": "parabolic step"}
+        # recording that state names the step: t = 3 dt, where min_eig
+        # (1 + u_xx itself in 1-D) is the determinant the step rejected
+        err = _raised(lambda: run(3 * dt))
+        assert str(err) == "quasi-convexity lost during run"
+        assert err.diagnostics == {"t": 0.09375, "min_eig": -0.7682491788363315}
+        assert run(2 * dt)[-1].t == 2 * dt
+
+    def test_nan_forcing_aborts_the_run(self):
+        grid = TorusGrid(1, 32)
+        f = np.zeros(32)
+        f[5] = np.nan
+        err = _raised(lambda: solve_parabolic(np.zeros(32), f, "0", 0.01, grid))
+        assert str(err) == "non-finite values in parabolic run"
+        assert err.diagnostics == {"t": 0.0}
+
+    def test_nan_forcing_aborts_one_step(self):
+        f = np.zeros(32)
+        f[5] = np.nan
+        state = ParabolicState(u=np.zeros(32), t=0.5, dx=1 / 32, dt=1e-4)
+        err = _raised(lambda: parabolic_step(state, f, np.zeros(32)))
+        assert str(err) == "non-finite values in parabolic step"
+        assert err.diagnostics == {"t": 0.5}
+
+    def test_residual_on_degenerate_determinant(self):
+        grid = TorusGrid(1, 64)
+        u = np.cos(2.0 * np.pi * grid.points()[:, 0])
+        err = _raised(lambda: ma_residual(u, "0", "0", grid))
+        assert str(err) == "det(I + H) lost positivity"
+        assert err.diagnostics == {"min_det": -38.44671910136276,
+                                   "t_context": "parabolic step"}
+
+    def test_two_dimensional_determinant_loss(self):
+        grid = TorusGrid(2, 16)
+        err = _raised(lambda: solve_parabolic(
+            np.zeros(grid.size), "0.3*cos(2*pi*x1)", "0.3*sin(2*pi*x2)", 1.0, grid,
+            dt=grid.spacing))
+        assert str(err) == "det(I + H) lost positivity"
+        assert err.diagnostics == {"min_det": -6.4356986096050806,
+                                   "t_context": "parabolic step"}
+
+    def test_overflowing_sums_of_finite_entries_pass(self):
+        # rhs = 1e308 at every node and u = 5e307 after the step: both
+        # screens' sums overflow, the exact tests pass, the run goes on
+        grid = TorusGrid(1, 32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (state,) = solve_parabolic(np.zeros(32), np.full(32, 1e308), np.zeros(32),
+                                       0.5, grid, dt=0.5, normalize=False)
+        assert state.t == 0.5
+        assert np.array_equal(state.u, np.full(32, 5e307))
+        assert state.min_eig == 1.0
+        with np.errstate(over="ignore"):
+            assert np.sum(state.u) == np.inf
 
 
 class TestMAResidual:

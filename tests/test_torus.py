@@ -125,6 +125,14 @@ class TestHeatKernel:
         with pytest.raises(ValueError, match="positive"):
             torus_heat_kernel(np.zeros((1, 1)), 0.0)
 
+    @pytest.mark.parametrize("images", [None, 10])
+    def test_periodic_in_delta(self, images):
+        # 3.7 and 0.7 are -0.3 a period or four away; without the
+        # minimum-image reduction 3.7 fell outside the image window
+        vals = torus_heat_kernel(np.array([[3.7], [-0.3], [0.7]]), 0.01, images=images)
+        assert_allclose(vals, vals[1], rtol=1e-13, atol=0.0)
+        assert vals[1] == pytest.approx(oracles.heat_spectral_sum(0.3, 0.01), rel=1e-12)
+
     @pytest.mark.parametrize("t", [0.25, 0.5, 1.0])
     def test_default_cutoff_converged_at_long_times(self, t):
         # three image shells alone leave 9e-4 relative error at t = 0.5

@@ -356,9 +356,8 @@ def _build_applicator(cfg, renormalize, kind):
             return measures.discretize_sphere(expr, grid())
 
         def log_kernel(xs, ys):
-            mult = sphere.positive_heat_multipliers(spec.heat_time, cfg["W"])
             a, b = (sphere.sphere_embed(pts[:, 0], pts[:, 1]) for pts in (xs, ys))
-            return sphere.zonal_log_kernel(a, b, mult)
+            return spec.log_kernel(a, b, cfg["W"])
 
     if backend not in routes:
         raise ConfigError(
@@ -522,20 +521,9 @@ def _reflector_report(app, out, u):
     )
 
     ang = grid.angles()
-    _write_csv(
-        out / "heights.csv",
-        ("phi", "theta", "h"),
-        [(ang[i, 0], ang[i, 1], h[i]) for i in range(grid.size)],
-    )
-    _write_csv(
-        out / "directions.csv",
-        ("phi", "theta", "dx", "dy", "dz", "ok"),
-        [
-            (ang[i, 0], ang[i, 1], directions[i, 0], directions[i, 1],
-             directions[i, 2], int(ok[i]))
-            for i in range(grid.size)
-        ],
-    )
+    _write_csv(out / "heights.csv", ("phi", "theta", "h"), zip(ang[:, 0], ang[:, 1], h))
+    _write_csv(out / "directions.csv", ("phi", "theta", "dx", "dy", "dz", "ok"),
+               zip(ang[:, 0], ang[:, 1], *directions.T, ok.astype(int)))
     return {
         "W": grid.W,
         "h_base": float(h[0]),
@@ -688,8 +676,8 @@ def _interleaved_min(calls, reps):
     return best
 
 
-def bench_torus_apply(sizes, reps=11, inner=None):
-    """Per-application seconds of fft_apply at each lattice size, interleaved."""
+def bench_torus_apply(sizes):
+    """Per-application seconds of fft_apply at each size, min of 11 interleaved sweeps."""
     import numpy as np
 
     from .torus import TorusGrid, TorusKernelSpec, fft_apply
@@ -700,9 +688,8 @@ def bench_torus_apply(sizes, reps=11, inner=None):
         profile = np.exp(TorusKernelSpec("gaussian", k=k).log_cost_profile(grid))
         w = np.exp(-np.linspace(0.0, 1.0, grid.size))
         fft_apply(profile, w)  # warm caches and plans
-        calls.append((partial(fft_apply, profile, w),
-                      inner if inner is not None else max(4, 2 ** 19 // k)))
-    return [(k, float(t)) for k, t in zip(sizes, _interleaved_min(calls, reps))]
+        calls.append((partial(fft_apply, profile, w), max(4, 2 ** 19 // k)))
+    return [(k, float(t)) for k, t in zip(sizes, _interleaved_min(calls, 11))]
 
 
 def _readme_pair_applicator(k):
@@ -716,24 +703,24 @@ def _readme_pair_applicator(k):
                                   p, q, mode="fft")
 
 
-def bench_torus_route(ks, steps=40, reps=5):
+def bench_torus_route(ks):
     """Per-application seconds of the 1-D route the solver runs, interleaved.
 
     Times softmin_to_target of the README pair's applicator at each k, at
-    the potential after `steps` scaling steps, peaked as in a real solve.
+    the potential after 40 scaling steps, peaked as in a real solve.
     """
     from .sinkhorn import initial_state, run_until
 
     calls = []
     for k in ks:
         app = _readme_pair_applicator(k)
-        u = run_until(initial_state(app), app, tol=None, m_max=steps).u.values
+        u = run_until(initial_state(app), app, tol=None, m_max=40).u.values
         calls.append((partial(app.softmin_to_target, u), 1))
-    return [(k, float(t)) for k, t in zip(ks, _interleaved_min(calls, reps))]
+    return [(k, float(t)) for k, t in zip(ks, _interleaved_min(calls, 5))]
 
 
-def bench_torus_solves(ks, tol=1e-9):
-    """The README pair solved through the 1-D fft route to tol at each k.
+def bench_torus_solves(ks):
+    """The README pair solved through the 1-D fft route to tol 1e-9 at each k.
 
     One record per k: stop reason, steps, the route's fallbacks, and the
     seconds the solve took.
@@ -744,15 +731,15 @@ def bench_torus_solves(ks, tol=1e-9):
     for k in ks:
         app = _readme_pair_applicator(k)
         t0 = time.perf_counter()
-        state = run_until(initial_state(app), app, tol=tol)
+        state = run_until(initial_state(app), app, tol=1e-9)
         records.append({"k": k, "stop_reason": state.stop_reason, "steps": state.m,
                         "fft_fallbacks": app.fallbacks,
                         "seconds": time.perf_counter() - t0})
     return records
 
 
-def bench_sphere_apply(bandwidths, reps=5, inner=2):
-    """Per-application seconds of the SHT backend at each bandwidth, interleaved."""
+def bench_sphere_apply(bandwidths):
+    """Per-application seconds of the SHT route at each bandwidth, min of 5 sweeps."""
     import numpy as np
 
     from .sphere import SphereKernelSpec, SphereSHTApplicator, SphericalGrid
@@ -765,16 +752,16 @@ def bench_sphere_apply(bandwidths, reps=5, inner=2):
         u = np.zeros(grid.size)
         app.softmin_to_target(u)
         sizes.append(grid.size)
-        calls.append((partial(app.softmin_to_target, u), inner))
-    return [(n, float(t)) for n, t in zip(sizes, _interleaved_min(calls, reps))]
+        calls.append((partial(app.softmin_to_target, u), 2))
+    return [(n, float(t)) for n, t in zip(sizes, _interleaved_min(calls, 5))]
 
 
-def bench_parabolic_steps(steps=300, reps=3):
+def bench_parabolic_steps():
     """Microseconds per explicit Euler step of solve_parabolic.
 
     Two sizes: 1-D N=256 at the default dt and 2-D 64x64 at dt = 0.1 dx^2,
-    with shifted cosine wells as forcing. Each rep runs the flow
-    for `steps` steps and for none; the difference of the two minima over
+    with shifted cosine wells as forcing. Each of 3 reps runs the flow
+    for 300 steps and for none; the difference of the two minima over
     reps, per step, leaves out sampling, prefilter and the checks at the
     start and the end.
     """
@@ -791,13 +778,13 @@ def bench_parabolic_steps(steps=300, reps=3):
         (2, 64, f"{well(0.3, 1, 0)} + {well(0.2, 2, 0)}",
          f"{well(0.3, 1, 0.25)} + {well(0.2, 2, 0.5)}", 0.1 / 64**2),
     )
-    records = []
+    steps, records = 300, []
     for n, N, f, g, dt in cases:
         grid = TorusGrid(n, N)
         u0 = np.zeros(grid.size)
         dt_run = solve_parabolic(u0, f, g, 0.0, grid, dt=dt)[-1].dt
         best = {0: np.inf, steps: np.inf}
-        for _ in range(reps):
+        for _ in range(3):
             for count in best:
                 t0 = time.perf_counter()
                 solve_parabolic(u0, f, g, count * dt_run, grid, dt=dt)

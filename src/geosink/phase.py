@@ -32,12 +32,12 @@ def _evaluate(fn, coords):
     return np.broadcast_to(vals, (np.atleast_2d(coords).shape[0],))
 
 
-def numeric_hessian(fn, x0, spacing=1e-4):
+def numeric_hessian(fn, x0):
     """Hessian of fn at x0 by centered differences with one Richardson pass.
 
-    The plain stencil has O(spacing^2) error; combining step sizes h and
-    2h as (4 D(h) - D(2h)) / 3 cancels the leading term, leaving
-    O(spacing^4), far below the needs of the rate checks here.
+    The plain stencil with spacing h = 1e-4 has O(h^2) error; combining
+    step sizes h and 2h as (4 D(h) - D(2h)) / 3 cancels the leading term,
+    leaving O(h^4), far below the needs of the rate checks here.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     n = x0.size
@@ -61,7 +61,7 @@ def numeric_hessian(fn, x0, spacing=1e-4):
                 H[i, j] = H[j, i] = (fpp - fpm - fmp + fmm) / (4.0 * h * h)
         return H
 
-    return (4.0 * d2(spacing) - d2(2.0 * spacing)) / 3.0
+    return (4.0 * d2(1e-4) - d2(2e-4)) / 3.0
 
 
 def _phase_record(alpha, h, x0, k, n):

@@ -48,6 +48,7 @@ __all__ = [
     "TraceRecord",
     "SinkhornState",
     "DENSE_POINT_CAP",
+    "kernel_heat_time",
     "DenseApplicator",
     "LinearDomainApplicator",
     "m_max_schedule",
@@ -70,6 +71,18 @@ STAGNATION_RUNS = 5
 
 # the dense (quadratic) route refuses supports with more points than this
 DENSE_POINT_CAP = 4096
+
+
+def kernel_heat_time(kind, k, t):
+    """Heat time of a kernel spec: t, or 2/k if None; kinds other than heat take no t."""
+    if kind != "heat":
+        if t is not None:
+            raise ValueError(f"t applies to the heat kernel only, not to {kind!r}")
+        return None
+    t = 2.0 / k if t is None else t
+    if not 0.0 < t < np.inf:
+        raise ValueError(f"heat time t must be finite and positive, got t={t}")
+    return t
 
 
 class NumericalAbortError(RuntimeError):

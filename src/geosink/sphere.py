@@ -27,19 +27,21 @@ Both run in O(W^3) by separating the longitude FFT from a dense Legendre
 contraction per order.
 
 Kernel backends: SphereSHTApplicator applies a zonal kernel through that
-pair in the linear domain. SphereDenseApplicator, its exact reference and
-underflow fallback, only builds the zonal log-kernel matrix for the single
-dense softmin, sinkhorn.DenseApplicator.
+pair in the linear domain. SphereDenseApplicator, its reference and
+underflow fallback, only builds the matrix of SphereKernelSpec.log_kernel,
+the one definition of each kernel, for sinkhorn.DenseApplicator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss, legvander, legval
 
-from .sinkhorn import DENSE_POINT_CAP, DenseApplicator, LinearDomainApplicator
+from .sinkhorn import (DENSE_POINT_CAP, DenseApplicator, LinearDomainApplicator,
+                       kernel_heat_time)
 
 __all__ = [
     "SphericalGrid",
@@ -310,15 +312,15 @@ def bandlimited_heat_apply(grid, t, values, W=None):
     and gives the plain band-limiting projection. Matches dense application
     of the kernel matrix to the quadrature-weighted field.
     """
-    if t < 0:
-        raise ValueError(f"heat time must be nonnegative, got t={t}")
+    if not 0.0 <= t < np.inf:
+        raise ValueError(f"heat time must be nonnegative and finite, got t={t}")
     if W is None:
         W = grid.W
     if W > grid.W:
         raise ValueError(f"degree {W} exceeds grid bandwidth {grid.W}")
     coeffs = sht_forward(grid, values)
-    l = np.arange(grid.W + 1, dtype=float)
-    mult = np.where(l <= W, np.exp(-t * l * (l + 1.0)), 0.0)
+    mult = np.zeros(grid.W + 1)
+    mult[: W + 1] = heat_multipliers(t, W)
     coeffs.data *= mult[:, None]
     return sht_inverse(grid, coeffs).real
 
@@ -328,14 +330,16 @@ def heat_multipliers(t, W):
     return np.exp(-t * l * (l + 1.0))
 
 
+@lru_cache(maxsize=64)
 def positive_heat_multipliers(t, W):
     """heat_multipliers(t, W), refused when the truncated kernel is not positive.
 
     The refusal names the smallest larger W that makes it positive, if any.
+    Cached and read-only, as every kernel row reads them.
     """
     mult = heat_multipliers(t, W)
     if zonal_profile_min(mult) > 0.0:
-        return mult
+        return _read_only(mult)
     advice = f"raise t (no bandwidth W <= {MAX_BANDWIDTH} makes it positive)"
     for wider in range(W + 1, MAX_BANDWIDTH + 1):
         if zonal_profile_min(heat_multipliers(t, wider)) > 0.0:
@@ -344,16 +348,19 @@ def positive_heat_multipliers(t, W):
     raise ValueError(f"truncated heat kernel is not positive at t={t:g}, W={W}; {advice}")
 
 
-def bandlimited_heat_matrix(grid, t, W=None):
-    """Dense band-limited heat kernel matrix (for checks and small runs)."""
-    if W is None:
-        W = grid.W
+def _dense_nodes(grid):
+    """grid.embed() for a dense kernel matrix, refused past DENSE_POINT_CAP nodes."""
     if grid.size > DENSE_POINT_CAP:
         raise ValueError(
             f"{grid.size} nodes exceeds the {DENSE_POINT_CAP} cap for dense kernels"
         )
-    xyz = grid.embed()
-    return _zonal_kernel(xyz, xyz, heat_multipliers(t, W))
+    return grid.embed()
+
+
+def bandlimited_heat_matrix(grid, t):
+    """Dense degree-W heat kernel matrix (for checks and small runs)."""
+    xyz = _dense_nodes(grid)
+    return _zonal_kernel(xyz, xyz, heat_multipliers(t, grid.W))
 
 
 def _zonal_series(multipliers):
@@ -377,21 +384,22 @@ def _zonal_kernel(a, b, multipliers):
 def zonal_log_kernel(a, b, multipliers):
     """log K(a_i, b_j) of a zonal kernel between unit vectors a (M, 3), b (N, 3).
 
-    Entries where the kernel vanishes (the antenna diagonal) are -inf.
-    Dense; DenseApplicator.from_log_kernel calls it only under the cap.
+    -inf where the Legendre series is not positive. The series rounds to
+    about eps times the kernel's peak, so entries far below a row's peak
+    are rounding noise, not the kernel's tail.
     """
     K = _zonal_kernel(a, b, multipliers)
     with np.errstate(divide="ignore"):
         return np.log(np.maximum(K, 0.0))
 
 
-def zonal_profile_min(multipliers, samples=20001):
-    """Minimum over [-1, 1] of the kernel profile sum mult_l (2l+1) P_l(s).
+def zonal_profile_min(multipliers):
+    """Minimum over 20001 points of [-1, 1] of the profile sum mult_l (2l+1) P_l(s).
 
     Positivity of the profile implies positivity of the whole kernel
     matrix for any node placement.
     """
-    s = np.linspace(-1.0, 1.0, samples)
+    s = np.linspace(-1.0, 1.0, 20001)
     return float(legval(s, _zonal_series(multipliers)).min())
 
 
@@ -430,23 +438,13 @@ def antenna_kernel_apply(grid, values, k, degree=None):
     at degree k: raising the expansion degree past k changes nothing.
     Requires grid bandwidth >= the expansion degree.
     """
-    mult = antenna_multipliers(k, degree)
-    if len(mult) - 1 > grid.W:
-        raise ValueError(
-            f"expansion degree {len(mult) - 1} exceeds grid bandwidth {grid.W}"
-        )
-    return _apply_zonal(grid, values, mult)
+    return _apply_zonal(grid, values, antenna_multipliers(k, degree))
 
 
 def antenna_kernel_matrix(grid, k):
-    """Dense antenna kernel matrix 2^k (1 - x_i . x_j)^k."""
-    if grid.size > DENSE_POINT_CAP:
-        raise ValueError(
-            f"{grid.size} nodes exceeds the {DENSE_POINT_CAP} cap for dense kernels"
-        )
-    xyz = grid.embed()
-    gram = np.clip(xyz @ xyz.T, -1.0, 1.0)
-    return (2.0 ** k) * (1.0 - gram) ** k
+    """Dense antenna kernel matrix 2^k (1 - x_i . x_j)^k = |x_i - x_j|^(2k)."""
+    xyz = _dense_nodes(grid)
+    return np.exp(SphereKernelSpec("antenna", k).log_kernel(xyz, xyz, grid.W))
 
 
 def antenna_height(a, k):
@@ -461,49 +459,37 @@ def reflector_map(grid, h):
     """Outgoing directions after reflection off the radial graph h(x) x.
 
     Rays leave the origin along each node direction, hit the surface, and
-    reflect specularly. Normals come from finite differences of h on the
-    grid (centered in longitude with wraparound, one-sided at the extreme
+    reflect specularly. The outward normal is h x - grad_S h, never shorter
+    than h, with the gradient from finite differences of h on the grid
+    (centered in longitude with wraparound, one-sided at the extreme
     colatitude rings). Returns (directions, ok) where ok flags nodes whose
-    normal was well defined. For h constant every ray returns to the
-    origin: directions = -x.
+    direction is finite. For h constant every ray returns to the origin:
+    directions = -x.
     """
     h = np.asarray(h, dtype=float).reshape(grid.n_theta, grid.n_phi)
     if np.any(h <= 0):
         raise ValueError("heights must be positive")
     dtheta = np.pi / grid.n_theta
     dphi = 2.0 * np.pi / grid.n_phi
-
     h_th = np.empty_like(h)
     h_th[1:-1] = (h[2:] - h[:-2]) / (2.0 * dtheta)
     h_th[0] = (-3.0 * h[0] + 4.0 * h[1] - h[2]) / (2.0 * dtheta)
     h_th[-1] = (3.0 * h[-1] - 4.0 * h[-2] + h[-3]) / (2.0 * dtheta)
     h_ph = (np.roll(h, -1, axis=1) - np.roll(h, 1, axis=1)) / (2.0 * dphi)
 
-    theta = grid.thetas[:, None]
-    phi = grid.phis[None, :]
-    st, ct = np.sin(theta), np.cos(theta)
-    sp, cp = np.sin(phi), np.cos(phi)
-    ones = np.ones_like(h)
-    xhat = np.stack([st * cp * ones, st * sp * ones, ct * ones], axis=-1)
-    xhat_th = np.stack([ct * cp * ones, ct * sp * ones, -st * ones], axis=-1)
-    xhat_ph = np.stack([-st * sp * ones, st * cp * ones, np.zeros_like(h)], axis=-1)
+    st, ct = np.sin(grid.thetas)[:, None], np.cos(grid.thetas)[:, None]
+    sp, cp = np.sin(grid.phis), np.cos(grid.phis)
 
-    t_th = h_th[..., None] * xhat + h[..., None] * xhat_th
-    t_ph = h_ph[..., None] * xhat + h[..., None] * xhat_ph
-    normal = np.cross(t_th, t_ph)
-    norm = np.linalg.norm(normal, axis=-1)
-    scale = np.linalg.norm(t_th, axis=-1) * np.linalg.norm(t_ph, axis=-1)
-    ok = norm > 1e-12 * np.maximum(scale, 1e-300)
+    def field(x, y, z):
+        return np.stack(np.broadcast_arrays(x, y, z, h)[:3], axis=-1)
 
-    with np.errstate(invalid="ignore", divide="ignore"):
-        nhat = normal / norm[..., None]
-    # orient outward
-    flip = np.sum(nhat * xhat, axis=-1) < 0
-    nhat[flip] *= -1.0
-    cos_in = np.sum(xhat * nhat, axis=-1, keepdims=True)
-    directions = xhat - 2.0 * cos_in * nhat
-    directions[~ok] = np.nan
-    return directions.reshape(-1, 3), ok.ravel()
+    xhat = field(st * cp, st * sp, ct)
+    # grad_S h = h_theta e_theta + (h_phi / sin theta) e_phi
+    normal = (h[..., None] * xhat - h_th[..., None] * field(ct * cp, ct * sp, -st)
+              - (h_ph / st)[..., None] * field(-sp, cp, 0.0))
+    nhat = normal / np.linalg.norm(normal, axis=-1, keepdims=True)
+    directions = xhat - 2.0 * np.sum(xhat * nhat, axis=-1, keepdims=True) * nhat
+    return directions.reshape(-1, 3), np.isfinite(directions).all(axis=-1).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +502,8 @@ class SphereKernelSpec:
     """Kernel choice for a sphere instance.
 
     kind "heat": degree-W truncated heat kernel at time t (default 2/k).
-    kind "antenna": 2^k (1 - x.y)^k, band-limited at degree k.
+    kind "antenna": 2^k (1 - x.y)^k, band-limited at degree k; takes no t.
+    log_kernel is the one definition of each kernel's entries.
     """
 
     kind: str
@@ -528,30 +515,45 @@ class SphereKernelSpec:
             raise ValueError(f"unknown sphere kernel kind {self.kind!r}")
         if self.k < 1:
             raise ValueError(f"sharpness k must be >= 1, got {self.k}")
+        kernel_heat_time(self.kind, self.k, self.t)
 
     @property
     def heat_time(self):
-        if self.kind != "heat":
-            return None
-        return 2.0 / self.k if self.t is None else self.t
+        return kernel_heat_time(self.kind, self.k, self.t)
 
     def multipliers(self, grid):
         """Per-degree multipliers; a heat kernel must also be positive."""
         if self.kind == "heat":
             return positive_heat_multipliers(self.heat_time, grid.W)
+        if self.k > grid.W:
+            raise ValueError(f"kernel degree {self.k} exceeds grid bandwidth {grid.W}")
         return antenna_multipliers(self.k)
+
+    def log_kernel(self, a, b, W):
+        """log K(a_i, b_j) between unit vectors a (M, 3) and b (N, 3).
+
+        Heat: zonal_log_kernel of the positive degree-W truncation; entries
+        far below a row's peak are the series' rounding noise. Antenna: the
+        closed form k log|a_i - b_j|^2 at any W, exact in every entry and
+        -inf only where a_i = b_j. Both sum elementwise, so a row is bitwise
+        its row of the matrix.
+        """
+        if self.kind == "heat":
+            return zonal_log_kernel(a, b, positive_heat_multipliers(self.heat_time, W))
+        chord = np.zeros((len(a), len(b)))
+        for axis in range(3):
+            chord += np.square(a[:, axis : axis + 1] - b[:, axis])
+        with np.errstate(divide="ignore"):
+            np.log(chord, out=chord)
+        chord *= self.k
+        return chord
 
 
 def _grid_multipliers(grid, spec, p, q):
-    """Multipliers of spec on grid, after checking the weights and the degree."""
+    """Multipliers of spec on grid, after checking the weights."""
     if np.shape(p) != (grid.size,) or np.shape(q) != (grid.size,):
         raise ValueError("weight vectors must match the grid size")
-    mult = spec.multipliers(grid)
-    if len(mult) - 1 > grid.W:
-        raise ValueError(
-            f"kernel degree {len(mult) - 1} exceeds grid bandwidth {grid.W}"
-        )
-    return mult
+    return spec.multipliers(grid)
 
 
 def _describe(grid, spec):
@@ -566,17 +568,17 @@ def _describe(grid, spec):
 
 
 class SphereDenseApplicator(DenseApplicator):
-    """Exact log-domain softmin against the materialized zonal kernel matrix.
+    """Log-domain softmin against the materialized matrix of spec.log_kernel.
 
-    The antenna kernel vanishes on the diagonal; its log-kernel entries
-    there are -inf, which the log-sum-exp reduction handles (the off
-    diagonal keeps every output finite).
+    Antenna rows are exact; heat entries far below a row's peak are series
+    rounding noise. The antenna's diagonal entries are -inf, which the
+    log-sum-exp reduction handles (the off diagonal keeps outputs finite).
     """
 
     def __init__(self, grid, spec, p, q):
-        mult = _grid_multipliers(grid, spec, p, q)
+        _grid_multipliers(grid, spec, p, q)
         xyz = grid.embed()
-        self._load(spec.k, p, q, lambda: zonal_log_kernel(xyz, xyz, mult),
+        self._load(spec.k, p, q, lambda: spec.log_kernel(xyz, xyz, grid.W),
                    symmetric=True)
         self.grid = grid
         self.spec = spec
@@ -623,7 +625,7 @@ class SphereSHTApplicator(LinearDomainApplicator):
         # the dense route's matrix row, not one SHT apply of a unit vector,
         # whose absolute rounding swamps the kernel's tail
         xyz = self.grid.embed()
-        return -zonal_log_kernel(xyz[i : i + 1], xyz, self._mult)[0] / self.k
+        return -self.spec.log_kernel(xyz[i : i + 1], xyz, self.grid.W)[0] / self.k
 
     def describe(self):
         return {**_describe(self.grid, self.spec), "backend": "sht",

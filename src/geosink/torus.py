@@ -35,7 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .sinkhorn import DENSE_POINT_CAP, DenseApplicator, LinearDomainApplicator
+from .sinkhorn import (DENSE_POINT_CAP, DenseApplicator, LinearDomainApplicator,
+                       kernel_heat_time)
 
 try:  # the gufuncs that np.fft.rfft and np.fft.irfft call (numpy 2)
     from numpy.fft import _pocketfft_umath as _pocketfft
@@ -235,16 +236,11 @@ class TorusKernelSpec:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
         if self.k < 2:
             raise ValueError(f"sharpness k must be >= 2, got {self.k}")
-        if self.kind == "heat":
-            t = self.heat_time
-            if t <= 0:
-                raise ValueError(f"heat time must be positive, got {t}")
+        kernel_heat_time(self.kind, self.k, self.t)
 
     @property
     def heat_time(self):
-        if self.kind != "heat":
-            return None
-        return 2.0 / self.k if self.t is None else self.t
+        return kernel_heat_time(self.kind, self.k, self.t)
 
     @property
     def image_cutoff(self):

@@ -292,6 +292,13 @@ class TestTorusConfigErrors:
             tmp_path, {"manifold": "torus", "k": 8, "f": "0", "g": "0", "kernel": "heet"}
         ) == 2
 
+    def test_t_without_heat_kernel(self, tmp_path, capsys):
+        # a gaussian run used to echo t in summary.json and ignore it
+        assert self._rc(
+            tmp_path, {"manifold": "torus", "k": 8, "f": "0", "g": "0", "t": 0.5}
+        ) == 2
+        assert "t applies to the heat kernel only" in capsys.readouterr().err
+
     def test_bad_backend_flag(self, tmp_path):
         cfg = _cfg(tmp_path, {"manifold": "torus", "k": 8, "f": "0", "g": "0"})
         rc = main(["transport", "torus", "--config", cfg, "--backend", "warp",

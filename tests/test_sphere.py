@@ -280,6 +280,13 @@ class TestHeatApply:
         with pytest.raises(ValueError, match="nonnegative"):
             bandlimited_heat_apply(grid, -0.1, np.ones(grid.size))
 
+    @pytest.mark.parametrize("t", [np.nan, np.inf])
+    def test_non_finite_time_rejected(self, t):
+        # both used to return an all-NaN field
+        grid = SphericalGrid(4)
+        with pytest.raises(ValueError, match="finite"):
+            bandlimited_heat_apply(grid, t, np.ones(grid.size))
+
 
 class TestAntennaKernel:
     def test_degree_one_expansion(self):
@@ -384,6 +391,43 @@ class TestReflectorMap:
         n = x - directions
         n = n / np.linalg.norm(n, axis=1)[:, None]
         assert np.abs(np.abs((x * n).sum(axis=1)) - np.abs((directions * n).sum(axis=1))).max() < 1e-8
+
+
+class TestSphereKernelSpec:
+    @pytest.mark.parametrize("t", [0.0, -1.0, np.nan, np.inf])
+    def test_heat_time_must_be_finite_and_positive(self, t):
+        with pytest.raises(ValueError, match="heat time t must be finite and positive"):
+            SphereKernelSpec("heat", 8, t=t)
+
+    def test_antenna_refuses_t(self):
+        with pytest.raises(ValueError, match="t applies to the heat kernel only"):
+            SphereKernelSpec("antenna", 8, t=0.3)
+
+    def test_antenna_rows_are_exact(self):
+        # the Legendre series gave -inf and rounding noise in the kernel's
+        # tail here; the closed form matches |x - y|^(2k) in every entry
+        import mpmath
+
+        grid, k = SphericalGrid(31), 16
+        p = grid.node_weights
+        dense = SphereDenseApplicator(grid, SphereKernelSpec("antenna", k), p, p)
+        log_K = dense._to_source
+        assert np.isneginf(np.diag(log_K)).all()
+        assert np.isfinite(log_K).sum() == grid.size * (grid.size - 1)
+        xyz = grid.embed()
+        rng = np.random.default_rng(3)
+        worst = 0.0
+        with mpmath.workdps(50):
+            for i in rng.choice(grid.size, 8, replace=False):
+                row = dense.cost_row(i)
+                for j in rng.choice(grid.size, 200, replace=False):
+                    if j == i:
+                        continue
+                    chord = sum((mpmath.mpf(float(a)) - mpmath.mpf(float(b))) ** 2
+                                for a, b in zip(xyz[i], xyz[j]))
+                    exact = -mpmath.log(chord ** k) / k
+                    worst = max(worst, abs(row[j] - float(exact)))
+        assert worst <= 1e-14, worst
 
 
 class TestSphereApplicators:

@@ -200,6 +200,15 @@ class TestKernelSpec:
         with pytest.raises(ValueError, match="unknown kernel"):
             TorusKernelSpec("poisson", 8)
 
+    @pytest.mark.parametrize("t", [0.0, -1.0, np.nan, np.inf])
+    def test_heat_time_must_be_finite_and_positive(self, t):
+        with pytest.raises(ValueError, match="heat time t must be finite and positive"):
+            TorusKernelSpec("heat", 8, t=t)
+
+    def test_gaussian_refuses_t(self):
+        with pytest.raises(ValueError, match="t applies to the heat kernel only"):
+            TorusKernelSpec("gaussian", 8, t=0.5)
+
 
 def _direct_softmin(grid, spec, values, weights):
     """out_j = log(sum_i K_ji exp(-k values_i) w_i) / k on the direct route."""

@@ -11,9 +11,9 @@ to apply the kernel. The backend contract is structural; any object with
     describe() -> dict
 
 works. DenseApplicator below is the one exact log-domain backend; each
-manifold only builds its log-kernel matrix. The fast routes (torus FFT or
-product, sphere SHT) derive from LinearDomainApplicator, which redoes an
-application whose output it cannot trust on a lazily built DenseApplicator.
+manifold only builds its log-kernel matrix. A fast route (torus FFT or
+product, sphere SHT) is a LinearDomainApplicator: that exact route plus a
+linear-domain shortcut. No route takes a potential of NaN or infinite minimum.
 
 One step maps u_m to u_{m+1} = u[v_{m+1}] with v_{m+1} = v[u_m]. Because
 the u-update runs last, the source marginal of the induced plan is exact
@@ -186,8 +186,9 @@ def run_until(state, kern, tol, A=2.0, m_max=None):
     Stops at the first step with error <= tol, at m_max (default
     m_max_schedule(k, A)), or when the sup-change stays below 1e-15 for
     five consecutive steps ("stagnated"). Pass tol=None to run a fixed
-    number of steps regardless of the error. The returned state records
-    the reason under .stop_reason and one TraceRecord per step; its
+    number of steps regardless of the error. A NaN tol, or an m_max that is
+    not an integer >= 1, raises ValueError. The returned state records the
+    reason under .stop_reason and one TraceRecord per step; its
     cost_warning is False until entropic_cost measures it.
 
     Each step costs two kernel applications plus one shared with the
@@ -203,8 +204,10 @@ def run_until(state, kern, tol, A=2.0, m_max=None):
     """
     if m_max is None:
         m_max = m_max_schedule(float(kern.k), A)
-    if m_max < 1:
-        raise ValueError(f"m_max must be >= 1, got {m_max}")
+    elif isinstance(m_max, bool) or not isinstance(m_max, (int, np.integer)) or m_max < 1:
+        raise ValueError(f"m_max must be None or an integer >= 1, got {m_max!r}")
+    if tol is not None and np.isnan(tol):
+        raise ValueError("tol must not be NaN")
     if state.m >= m_max:
         return state
 
@@ -367,6 +370,15 @@ def normalized_potentials(state):
     return state.u.values - shift, state.v.values + shift
 
 
+def _finite_min(values):
+    """values as floats and their minimum, refused unless that minimum is finite."""
+    values = np.asarray(values, dtype=float)
+    shift = values.min()
+    if not np.isfinite(shift):  # a NaN or -inf entry, or every entry +inf
+        raise ValueError("potential contains non-finite entries")
+    return values, shift
+
+
 class DenseApplicator:
     """Exact log-domain backend: the one dense softmin of the package.
 
@@ -376,14 +388,17 @@ class DenseApplicator:
     application needs O(block * N) memory beyond the matrix. It costs
     O(N^2) per application and refuses supports past DENSE_POINT_CAP
     points before allocating anything. It is the reference the fast
-    routes are certified against and the route they fall back to.
+    routes are certified against, and each fast route is one of these
+    whose matrix waits for its first exact use. Its softmin pair serves
+    every route: a potential whose minimum is not finite raises ValueError.
     """
 
     def __init__(self, k, p, q, cost):
         cost = np.asarray(cost, dtype=float)
         if not np.all(np.isfinite(cost)):
             raise ValueError("cost matrix must be finite")
-        self._load(k, p, q, lambda: -float(k) * cost, symmetric=False)
+        self._setup(k, p, q, lambda: -float(k) * cost)
+        self._build_dense()
 
     @classmethod
     def from_log_kernel(cls, k, p, q, log_kernel, symmetric=False):
@@ -396,32 +411,43 @@ class DenseApplicator:
         is how a convolution applies it.
         """
         app = cls.__new__(cls)
-        app._load(k, p, q, log_kernel, symmetric)
+        app._setup(k, p, q, log_kernel, symmetric)
+        app._build_dense()
         return app
 
-    def _load(self, k, p, q, log_kernel, symmetric):
+    def _setup(self, k, p, q, log_kernel, symmetric=False):
+        """k, the weights, their logs and the builder _build_dense calls."""
         self.k = float(k)
         self.p = np.asarray(p, dtype=float)
         self.q = np.asarray(q, dtype=float)
         self.log_p, self.log_q = np.log(self.p), np.log(self.q)
+        self._log_kernel, self._symmetric = log_kernel, symmetric
+
+    def _build_dense(self):
+        """Build the matrix under the cap, then drop the builder and what it holds."""
         points = max(self.p.size, self.q.size)
         if points > DENSE_POINT_CAP:
             raise ValueError(
                 f"the dense route is quadratic; {points} points exceeds the "
                 f"{DENSE_POINT_CAP} point cap"
             )
-        log_K = log_kernel()
+        log_K = self._log_kernel()
         if log_K.shape != (self.p.size, self.q.size):
             raise ValueError("cost matrix shape must be (len(p), len(q))")
         self._to_source = log_K
-        self._to_target = log_K if symmetric else np.ascontiguousarray(log_K.T)
+        self._to_target = log_K if self._symmetric else np.ascontiguousarray(log_K.T)
+        self._log_kernel = None
 
     @property
     def size(self):
         return self.p.size
 
-    def _softmin(self, rows, values, log_weights):
-        s = -self.k * np.asarray(values, dtype=float) + log_weights
+    def _softmin(self, values, shift, log_weights, to_target):
+        """The exact log-sum-exp, building the matrix first if need be; shift is unused."""
+        if self._log_kernel is not None:
+            self._build_dense()
+        rows = self._to_target if to_target else self._to_source
+        s = -self.k * values + log_weights
         n_out, n_in = rows.shape
         out = np.empty(n_out)
         block = max(1, min(n_out, (1 << 22) // n_in))
@@ -430,10 +456,12 @@ class DenseApplicator:
         return out / self.k
 
     def softmin_to_target(self, u):
-        return self._softmin(self._to_target, u, self.log_p)
+        """v(y_j) = log(sum_i exp(-k(c_ij + u_i)) p_i) / k."""
+        return self._softmin(*_finite_min(u), self.log_p, True)
 
     def softmin_to_source(self, v):
-        return self._softmin(self._to_source, v, self.log_q)
+        """u(x_i) = log(sum_j exp(-k(c_ij + v_j)) q_j) / k."""
+        return self._softmin(*_finite_min(v), self.log_q, False)
 
     def cost_row(self, i):
         return -self._to_source[i] / self.k
@@ -447,68 +475,40 @@ class DenseApplicator:
         }
 
 
-class LinearDomainApplicator:
-    """Core of the fast routes (torus product and FFT, sphere SHT).
+class LinearDomainApplicator(DenseApplicator):
+    """A fast route: its own exact route plus a linear-domain shortcut.
 
-    Subclasses set mode and supply _linear_apply(w), the kernel on a
-    positive vector (it may return a buffer it owns and overwrites on the
-    next call), and _build_dense, the same kernel as a DenseApplicator. An
-    application shifts by the minimum of the potential, so the largest
-    scaled weight is exactly 1 (a NaN or -inf entry makes that minimum
-    non-finite and raises ValueError), forms the weights (_weights, in a
-    scratch vector of the applicator), applies the kernel in the linear
-    domain and takes the log back (_log_back, into the one fresh array the
-    application returns), but only when the output's minimum exceeds the
-    route's _floor (NaN never does): this is the one trust check of the
-    fast routes. The floor is 0, or k * tiny /
-    torus.SUBNORMAL_REL_ERROR on the exact 1-D torus product (see there).
-    An untrusted application is redone on the dense route, built on first
-    use and counted in .fallbacks; past DENSE_POINT_CAP points, where that
-    route is quadratic, the run aborts instead. mode "direct" always takes
-    it.
+    Subclasses pass _setup the log-kernel builder of their exact route and
+    supply _linear_apply(w), the kernel on a positive vector (it may return
+    a buffer it owns and overwrites on the next call). An application
+    shifts by the potential's minimum, so the largest scaled weight is
+    exactly 1, forms the weights (_weights, in a scratch vector), applies
+    the kernel and takes the log back (_log_back, into the one fresh array
+    it returns), but only when the output's minimum exceeds the route's
+    _floor (NaN never does): the one trust check of the fast routes. The
+    floor is 0, or k * tiny / torus.SUBNORMAL_REL_ERROR on the exact 1-D
+    torus product. DenseApplicator._softmin redoes an untrusted
+    application, counted in .fallbacks; past DENSE_POINT_CAP points, where
+    that route is quadratic, the run aborts instead.
     """
 
     fallbacks = 0
-    _dense = None
     _floor = 0.0
     _scratch = None
 
-    def __init__(self, k, p, q):
-        self.k = float(k)
-        self.p = np.asarray(p, dtype=float)
-        self.q = np.asarray(q, dtype=float)
-        self.log_p = np.log(self.p)
-        self.log_q = np.log(self.q)
-
-    @property
-    def size(self):
-        return self.p.size
-
-    def _softmin(self, values, log_weights, to_target):
-        values = np.asarray(values, dtype=float)
-        if self.mode != "direct":
-            shift = values.min()
-            if not np.isfinite(shift):  # a NaN or -inf entry, or every entry +inf
-                raise ValueError("potential contains non-finite entries")
-            out = self._linear_apply(self._weights(values, shift, log_weights))
-            if out.min() > self._floor:
-                return self._log_back(out, shift)
-            if self.size > DENSE_POINT_CAP:
-                raise NumericalAbortError(
-                    f"linear-domain kernel application underflowed double "
-                    f"precision on {self.size} points, and the exact "
-                    f"log-domain fallback is capped at "
-                    f"DENSE_POINT_CAP={DENSE_POINT_CAP} points",
-                    {"stage": "linear-domain apply", "points": self.size,
-                     "dense_point_cap": DENSE_POINT_CAP,
-                     "fallbacks": self.fallbacks},
-                )
-            self.fallbacks += 1
-        if self._dense is None:
-            self._dense = self._build_dense()
-        if to_target:
-            return self._dense.softmin_to_target(values)
-        return self._dense.softmin_to_source(values)
+    def _softmin(self, values, shift, log_weights, to_target):
+        out = self._linear_apply(self._weights(values, shift, log_weights))
+        if out.min() > self._floor:
+            return self._log_back(out, shift)
+        if self.size > DENSE_POINT_CAP:
+            raise NumericalAbortError(
+                f"linear-domain kernel application underflowed double precision on "
+                f"{self.size} points, and the exact log-domain fallback is capped at "
+                f"DENSE_POINT_CAP={DENSE_POINT_CAP} points",
+                {"stage": "linear-domain apply", "points": self.size,
+                 "dense_point_cap": DENSE_POINT_CAP, "fallbacks": self.fallbacks})
+        self.fallbacks += 1
+        return super()._softmin(values, shift, log_weights, to_target)
 
     def _weights(self, values, shift, log_weights):
         """exp(-k (values - shift) + log_weights), formed in the scratch vector."""
@@ -525,11 +525,3 @@ class LinearDomainApplicator:
         out /= self.k
         out -= shift
         return out
-
-    def softmin_to_target(self, u):
-        """v(y_j) = log(sum_i exp(-k(c_ij + u_i)) p_i) / k."""
-        return self._softmin(u, self.log_p, True)
-
-    def softmin_to_source(self, v):
-        """u(x_i) = log(sum_j exp(-k(c_ij + v_j)) q_j) / k."""
-        return self._softmin(v, self.log_q, False)

@@ -26,10 +26,10 @@ Two transform flavours exist on purpose:
 Both run in O(W^3) by separating the longitude FFT from a dense Legendre
 contraction per order.
 
-Kernel backends: SphereSHTApplicator applies a zonal kernel through that
-pair in the linear domain. SphereDenseApplicator, its reference and
-underflow fallback, only builds the matrix of SphereKernelSpec.log_kernel,
-the one definition of each kernel, for sinkhorn.DenseApplicator.
+Kernel backends: SphereDenseApplicator is the exact sinkhorn.DenseApplicator
+route over the matrix of SphereKernelSpec.log_kernel, the one definition of
+each kernel. SphereSHTApplicator is that route plus the zonal kernel applied
+through that pair in the linear domain, the route it normally takes.
 """
 
 from __future__ import annotations
@@ -549,11 +549,18 @@ class SphereKernelSpec:
         return chord
 
 
-def _grid_multipliers(grid, spec, p, q):
-    """Multipliers of spec on grid, after checking the weights."""
+def _on_grid(app, grid, spec, p, q):
+    """Check the weights, give app its exact route and return spec's multipliers.
+
+    The route's builder holds the grid and the spec, never the applicator.
+    """
     if np.shape(p) != (grid.size,) or np.shape(q) != (grid.size,):
         raise ValueError("weight vectors must match the grid size")
-    return spec.multipliers(grid)
+    mult = spec.multipliers(grid)
+    app._setup(spec.k, p, q, lambda: spec.log_kernel(grid.embed(), grid.embed(), grid.W),
+               symmetric=True)
+    app.grid, app.spec = grid, spec
+    return mult
 
 
 def _describe(grid, spec):
@@ -576,12 +583,8 @@ class SphereDenseApplicator(DenseApplicator):
     """
 
     def __init__(self, grid, spec, p, q):
-        _grid_multipliers(grid, spec, p, q)
-        xyz = grid.embed()
-        self._load(spec.k, p, q, lambda: spec.log_kernel(xyz, xyz, grid.W),
-                   symmetric=True)
-        self.grid = grid
-        self.spec = spec
+        _on_grid(self, grid, spec, p, q)
+        self._build_dense()
 
     def describe(self):
         return {**_describe(self.grid, self.spec), "backend": "dense"}
@@ -592,17 +595,12 @@ class SphereSHTApplicator(LinearDomainApplicator):
 
     Each application applies the zonal kernel in O(W^3) in the linear
     domain (see LinearDomainApplicator for the shift, the trust check, the
-    fallback to SphereDenseApplicator, counted in .fallbacks, and the
+    redo on SphereDenseApplicator's matrix, counted in .fallbacks, and the
     abort past DENSE_POINT_CAP nodes).
     """
 
-    mode = "sht"
-
     def __init__(self, grid, spec, p, q):
-        self._mult = _grid_multipliers(grid, spec, p, q)
-        super().__init__(spec.k, p, q)
-        self.grid = grid
-        self.spec = spec
+        self._mult = _on_grid(self, grid, spec, p, q)
 
     def _linear_apply(self, w):
         return _apply_zonal(self.grid, w, self._mult)
@@ -617,9 +615,6 @@ class SphereSHTApplicator(LinearDomainApplicator):
 
     def _log_back(self, out, shift):
         return np.log(out) / self.k - shift
-
-    def _build_dense(self):
-        return SphereDenseApplicator(self.grid, self.spec, self.p, self.q)
 
     def cost_row(self, i):
         # the dense route's matrix row, not one SHT apply of a unit vector,

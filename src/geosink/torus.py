@@ -354,20 +354,20 @@ def _fft_convolve(profile_hat, shape, vec, spectrum=None, out=None):
     return np.fft.irfft(spectrum, n=shape[-1], out=out).ravel()
 
 
-
 class TorusLatticeApplicator(LinearDomainApplicator):
     """Kernel application on the common lattice, direct or fast mode.
 
-    mode "direct" always takes the exact route: the circulant log-kernel
-    over DenseApplicator, built on first use. mode "fft" applies the kernel
-    in the linear domain (see LinearDomainApplicator for the shift, the
-    trust check and the fallback, counted in .fallbacks, or abort past
-    DENSE_POINT_CAP points): by FFT in 2-D and 3-D; in 1-D, under the same
-    name, as the exact circulant product, trusted above k * tiny / 1e-13.
-    Its output block [j0, j0 + B) is H @ w[(j0 + i) mod k], with H[r, i] =
-    profile[(r - i) mod k] the B x k head of the circulant, built at the
-    first apply. The windows of w are rows of a zero-copy view over a
-    doubled w, gathered a few at a time: no k x k matrix is built.
+    The exact route is DenseApplicator's softmin over the circulant
+    log-kernel, built at the first exact application; mode "direct" takes
+    it every time. mode "fft" applies the kernel in the linear domain (see
+    LinearDomainApplicator for the shift, the trust check and the redo,
+    counted in .fallbacks, or abort past DENSE_POINT_CAP points): by FFT in
+    2-D and 3-D; in 1-D, under the same name, as the exact circulant
+    product, trusted above k * tiny / 1e-13. Its output block [j0, j0 + B)
+    is H @ w[(j0 + i) mod k], with H[r, i] = profile[(r - i) mod k] the
+    B x k head of the circulant, built at the first apply. The windows of
+    w are rows of a zero-copy view over a doubled w, gathered a few at a
+    time: no k x k matrix is built.
     """
 
     _head_t = None
@@ -381,12 +381,14 @@ class TorusLatticeApplicator(LinearDomainApplicator):
             raise ValueError(f"unknown mode {mode!r}")
         if np.shape(p) != (grid.size,) or np.shape(q) != (grid.size,):
             raise ValueError("weight vectors must match the lattice size")
-        super().__init__(spec.k, p, q)
+        self._log_profile = log_profile = spec.log_cost_profile(grid)
+        # the builder holds the profile, not the applicator
+        self._setup(spec.k, p, q, lambda: _circulant_log_kernel(log_profile),
+                    symmetric=True)
         self.grid = grid
         self.spec = spec
         self.mode = mode
-        self._log_profile = spec.log_cost_profile(grid)
-        self._cost_profile = -self._log_profile / self.k
+        self._cost_profile = -log_profile / self.k
         if mode == "fft":
             if grid.n == 1:
                 self._floor = grid.k * np.finfo(float).tiny / SUBNORMAL_REL_ERROR
@@ -394,6 +396,11 @@ class TorusLatticeApplicator(LinearDomainApplicator):
                 self._profile_hat = np.fft.rfftn(np.exp(self._log_profile))
                 self._spectrum = np.empty_like(self._profile_hat)
                 self._out = np.empty(grid.shape)
+
+    def _softmin(self, values, shift, log_weights, to_target):
+        if self.mode == "direct":
+            return DenseApplicator._softmin(self, values, shift, log_weights, to_target)
+        return super()._softmin(values, shift, log_weights, to_target)
 
     def _linear_apply(self, w):
         """The kernel on w, in a buffer the applicator reuses."""
@@ -430,12 +437,6 @@ class TorusLatticeApplicator(LinearDomainApplicator):
             np.matmul(self._windows[starts[c : c + rows]], self._head_t,
                       out=blocks[c : c + rows])
         return blocks.ravel()[:k]  # past k - 1 the last block repeats outputs 0, 1, ...
-
-    def _build_dense(self):
-        return DenseApplicator.from_log_kernel(
-            self.k, self.p, self.q,
-            lambda: _circulant_log_kernel(self._log_profile), symmetric=True,
-        )
 
     def cost_row(self, i):
         """Cost row c(x_i, .) over the target lattice, shape (N,)."""

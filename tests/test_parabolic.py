@@ -239,6 +239,18 @@ class TestSolveParabolic:
         with pytest.raises(ValueError, match=r"within \[0, T\]"):
             solve_parabolic(np.zeros(16), "0", "0", 0.1, grid, record_times=[-0.1])
 
+    @pytest.mark.parametrize("times", [
+        [float("nan")],  # once recorded t = 0.0 alone and never reached T
+        [0.01, float("nan")],  # once recorded t = 0.01 twice
+        [float("nan"), 0.01],
+        [float("inf")],
+        [float("-inf")],
+    ])
+    def test_non_finite_record_time_rejected(self, times):
+        grid = TorusGrid(1, 16)
+        with pytest.raises(ValueError, match=r"within \[0, T\]"):
+            solve_parabolic(np.zeros(16), "0", "0", 0.05, grid, record_times=times)
+
     @pytest.mark.parametrize("dt", [0.0, -1e-4, float("nan"), float("inf")])
     def test_step_must_be_finite_and_positive(self, dt):
         # a step that is not positive never advances t toward T
@@ -632,6 +644,57 @@ class TestCircleOracle:
         for s in (1, 3, 7):
             rot = circle_ot_oracle(np.roll(p, s), np.roll(q, s))["cost"]
             assert rot == pytest.approx(base, abs=1e-12)
+
+    @staticmethod
+    def _all_pairs_alignments(Pc, Qc, theta):
+        # the sweep as it once ran: all k^2 ladder differences, then the test
+        diffs = (Pc[:, None] - Qc[None, :]).ravel()
+        near = []
+        for shift in (-1.0, 0.0, 1.0):
+            cand = diffs + shift
+            near.extend(float(t) for t in cand[np.abs(cand - theta) <= 1e-6])
+        return near
+
+    @staticmethod
+    def _oracle_pair(k, kind, rng):
+        if kind == "random":
+            w1, w2 = rng.random(k) + 0.05, rng.random(k) + 0.05
+            return w1 / w1.sum(), w2 / w2.sum()
+        if kind == "uniform":  # every ladder step aligns with many others
+            return np.full(k, 1.0 / k), np.full(k, 1.0 / k)
+        f, g = {"wells": ("3*(1-cos(2*pi*x1))", "3*(1-cos(2*pi*(x1-0.375)))"),
+                "flat-peaked": ("0", "5*(1-cos(2*pi*(x1-0.5)))")}[kind]
+        return discretize_torus(f, k, 1).weights, discretize_torus(g, k, 1).weights
+
+    @pytest.mark.parametrize("k, kind", [
+        (k, kind) for k in (8, 64, 300, 1024) for kind in ("random", "wells", "flat-peaked")
+    ] + [(8, "uniform"), (64, "uniform"), (300, "uniform")])
+    def test_windowed_sweep_keeps_the_all_pairs_candidates(self, monkeypatch, rng, k, kind):
+        p, q = self._oracle_pair(k, kind, rng)
+        out = circle_ot_oracle(p, q)
+        Pc, Qc = np.cumsum(p), np.cumsum(q)
+        for theta in (out["rotation"], Pc[k // 3] - Qc[k // 2], 0.0, 0.123456, -0.5):
+            assert (parabolic._alignments(Pc, Qc, theta)
+                    == self._all_pairs_alignments(Pc, Qc, theta))
+        monkeypatch.setattr(parabolic, "_alignments", self._all_pairs_alignments)
+        assert circle_ot_oracle(p, q) == out
+
+    def test_sweep_memory_is_linear_in_k(self):
+        # the all-pairs sweep held 4096^2 floats per shift (512 MB); the
+        # sweep alone is traced, as tracing the golden section's O(k)
+        # Python walk takes seconds
+        import tracemalloc
+
+        p, q = self._oracle_pair(4096, "uniform", None)
+        Pc, Qc = np.cumsum(p), np.cumsum(q)
+        tracemalloc.start()
+        try:
+            near = parabolic._alignments(Pc, Qc, 0.0)  # the rotation of p onto itself
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(near) >= 4096
+        assert peak < 16 * 2**20
 
     def test_input_guards(self):
         with pytest.raises(ValueError, match="1-D"):

@@ -27,7 +27,8 @@ from geosink.sinkhorn import (
     sinkhorn_step,
     softmin_update,
 )
-from geosink.sphere import SphereKernelSpec, SphereSHTApplicator, SphericalGrid
+from geosink.sphere import (SphereDenseApplicator, SphereKernelSpec,
+                            SphereSHTApplicator, SphericalGrid)
 from geosink.torus import TorusGrid, TorusKernelSpec, TorusLatticeApplicator
 
 
@@ -258,6 +259,31 @@ class TestRunUntil:
         for r in state.trace:
             assert r.e_row == 0.0
 
+    @pytest.mark.parametrize("bad", [
+        {"m_max": float("nan")},  # once returned m = 0 and an empty trace
+        {"m_max": 2.5},  # once ran 3 steps
+        {"m_max": 3.0},
+        {"m_max": 0},
+        {"m_max": np.int64(-1)},
+        {"m_max": True},
+        {"m_max": "3"},
+        {"tol": float("nan")},  # once never stopped on tol
+        {"tol": np.float64("nan")},
+    ])
+    def test_refuses_values_the_cli_refuses(self, bad):
+        kern = _two_by_two()
+        name = next(iter(bad))
+        with pytest.raises(ValueError, match=name):
+            run_until(initial_state(kern), kern, **{"tol": 1e-9, **bad})
+
+    @pytest.mark.parametrize("m_max", [3, np.int64(3)])
+    @pytest.mark.parametrize("tol", [None, 0.0])
+    def test_fixed_step_runs(self, m_max, tol):
+        kern = _two_by_two()
+        state = run_until(initial_state(kern), kern, tol=tol, m_max=m_max)
+        assert state.m == 3 and len(state.trace) == 3
+        assert state.stop_reason == "m_max"
+
 
 class _Injecting:
     """Dense backend whose call number `at` (from 1) returns two bad entries."""
@@ -319,6 +345,57 @@ def _fast_applicator(kind):
     p, q = _product_weights(k, n)
     return TorusLatticeApplicator(TorusGrid(n, k), TorusKernelSpec("gaussian", k), p, q,
                                   mode="fft")
+
+
+def _every_route(name):
+    rng = np.random.default_rng(4)
+    if name.startswith("dense"):
+        p, q = rng.random(6) + 0.2, rng.random(5) + 0.2
+        p, q, cost = p / p.sum(), q / q.sum(), rng.random((6, 5))
+        if name == "dense":
+            return DenseApplicator(3.0, p, q, cost)
+        return DenseApplicator.from_log_kernel(3.0, p, q, lambda: -3.0 * cost)
+    if name.startswith("torus"):
+        n, mode = int(name[5]), name.split("-")[1]
+        k = {1: 32, 2: 8}[n]
+        p, q = _product_weights(k, n)
+        return TorusLatticeApplicator(TorusGrid(n, k), TorusKernelSpec("gaussian", k),
+                                      p, q, mode=mode)
+    grid = SphericalGrid(6)
+    w = grid.node_weights
+    cls = SphereSHTApplicator if name == "sphere-sht" else SphereDenseApplicator
+    return cls(grid, SphereKernelSpec("heat", 4), w, w)
+
+
+class TestInputRule:
+    # every route refuses a potential whose minimum is not finite; the
+    # exact routes once returned NaN (from a NaN entry) or +inf (from -inf)
+    @pytest.mark.parametrize("route", [
+        "dense", "dense-log-kernel", "torus1-direct", "torus1-fft", "torus2-direct",
+        "torus2-fft", "sphere-sht", "sphere-dense",
+    ])
+    @pytest.mark.parametrize("bad", ["nan", "-inf", "all+inf"])
+    @pytest.mark.parametrize("to_target", [True, False])
+    def test_non_finite_minimum_is_refused(self, route, bad, to_target):
+        kern = _every_route(route)
+        n = kern.p.size if to_target else kern.q.size
+        if bad == "all+inf":
+            values = np.full(n, np.inf)
+        else:
+            values = np.zeros(n)
+            values[1] = float(bad)
+        apply = kern.softmin_to_target if to_target else kern.softmin_to_source
+        with pytest.raises(ValueError, match="^potential contains non-finite entries$"):
+            apply(values)
+
+    @pytest.mark.parametrize("route", ["dense", "torus1-direct", "torus2-fft", "sphere-sht"])
+    def test_inf_entries_above_a_finite_minimum_are_kept(self, route):
+        # an entry of +inf only drops its term from every sum
+        kern = _every_route(route)
+        values = 0.1 * np.random.default_rng(5).random(kern.p.size)
+        values[2] = np.inf
+        out = kern.softmin_to_target(values)
+        assert np.all(np.isfinite(out))
 
 
 class TestFreshOutputs:

@@ -23,11 +23,15 @@ bookkeeping uses F(u) = <p, u> + <q, v[u]>, which never increases.
 
 Every softmin_to_* call returns a fresh array that no later call writes
 into: run_until keeps three of them across steps and callers keep the
-returned potentials. What a backend needs inside an application (the
-linear-domain weights, transform spectra, product blocks) lives in
-buffers the backend owns and reuses, so one application of a torus fast
-route allocates nothing of the support's size except the array it
-returns (the sphere route keeps fresh temporaries; see sphere.py).
+returned potentials. A fast route binds its softmin pair once, at
+construction: two closures over k, the log weights, the route's kernel
+and the buffers it owns and reuses (the linear-domain weights, transform
+spectra, product blocks), so one application is its numpy calls plus a
+few Python frames, and on the torus it allocates nothing of the
+support's size except the array it returns.
+The sphere's pair keeps fresh temporaries, which a test of its timing
+slope depends on (see sphere.py). run_until binds its step the same way,
+once per call: the pair, the weights, k and the ufuncs it calls.
 
 Iterates are kept raw during the run (the dynamic-in-m comparisons need
 unnormalized values); normalization to u[0] = 0 happens at readout,
@@ -36,7 +40,9 @@ with the compensating shift applied to v so the plan is untouched.
 
 from __future__ import annotations
 
+import math
 import time
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,6 +78,8 @@ STAGNATION_RUNS = 5
 # the dense (quadratic) route refuses supports with more points than this
 DENSE_POINT_CAP = 4096
 
+_NON_FINITE = "potential contains non-finite entries"
+
 
 def kernel_heat_time(kind, k, t):
     """Heat time of a kernel spec: t, or 2/k if None; kinds other than heat take no t."""
@@ -103,8 +111,10 @@ class Potential:
         self.values = np.asarray(self.values, dtype=float)
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceRecord:
+    """One run_until step; slotted, as a long run keeps one per step."""
+
     m: int
     F: float
     I_mu: float
@@ -149,7 +159,7 @@ def softmin_update(pot, direction, kern):
     """
     values = pot.values if isinstance(pot, Potential) else np.asarray(pot, float)
     if not np.all(np.isfinite(values)):
-        raise ValueError("potential contains non-finite entries")
+        raise ValueError(_NON_FINITE)
     if direction == "x_to_y":
         out = kern.softmin_to_target(values)
     elif direction == "y_to_x":
@@ -194,13 +204,19 @@ def run_until(state, kern, tol, A=2.0, m_max=None):
     Each step costs two kernel applications plus one shared with the
     trace bookkeeping: the trailing softmin w = v[u_{m+1}] that measures
     the target-marginal error is exactly the next step's v-update, so it
-    is reused. e_row is 0, as the u-update makes the source marginal exact.
+    is reused. Step m + 1 maps (u, v) = (u_m, v[u_m]) to u' = u[v] and
+    w = v[u'], and records F = <p, u'> + <q, w>, I_mu = <p, u'>, e_row = 0
+    (the u-update makes the source marginal exact),
+    e_col = sum_j |q_j expm1(k (w_j - v_j))|, summed as np.add.reduce
+    does, and sup_change = max_i |u'_i - u_i|.
 
     The finiteness of each softmin output is screened through the dot
     product with p or q that the step takes anyway (any NaN or inf entry
     makes it non-finite); only a non-finite screen runs the full check,
     which raises NumericalAbortError naming the stage, m and the count of
-    bad entries.
+    bad entries. The loop binds the backend's softmin pair, p and q, k as
+    a 0-d array and the ufuncs it calls once, before the first step, and
+    computes e_col and sup_change in one scratch vector.
     """
     if m_max is None:
         m_max = m_max_schedule(float(kern.k), A)
@@ -211,53 +227,51 @@ def run_until(state, kern, tol, A=2.0, m_max=None):
     if state.m >= m_max:
         return state
 
-    u = state.u.values.copy()
-    v_cur = state.v.values
-    v_next = None
-    n_x, n_y = len(kern.p), len(kern.q)
-    scratch = np.empty(max(n_x, n_y))
+    to_target, to_source = kern.softmin_to_target, kern.softmin_to_source
+    p, q, k = kern.p, kern.q, np.array(kern.k, dtype=float)
+    p_dot, q_dot = p.dot, q.dot
+    scratch = np.empty(max(len(p), len(q)))
+    d_x, d_y = scratch[: len(p)], scratch[: len(q)]
+    subtract, multiply, expm1, absolute = np.subtract, np.multiply, np.expm1, np.absolute
+    add_reduce, max_reduce = np.add.reduce, np.maximum.reduce
+    isfinite, clock = math.isfinite, time.perf_counter
     trace_list = list(state.trace)
+    append = trace_list.append
     m = state.m
+    u = state.u.values
     flat = 0
     reason = "m_max"
+    t0 = clock()
+    v_next = to_target(u)
+    if not isfinite(q_dot(v_next)):
+        _check_finite(v_next, "v-update", m + 1)
     while m < m_max:
-        t0 = time.perf_counter()
         m += 1
-        if v_next is None:
-            v_next = kern.softmin_to_target(u)
-            if not np.isfinite(kern.q @ v_next):
-                _check_finite(v_next, "v-update", m)
-        u_next = kern.softmin_to_source(v_next)
-        I_mu = float(kern.p @ u_next)
-        if not np.isfinite(I_mu):
+        u_next = to_source(v_next)
+        I_mu = float(p_dot(u_next))
+        if not isfinite(I_mu):
             _check_finite(u_next, "u-update", m)
-        w = kern.softmin_to_target(u_next)
-        qw = float(kern.q @ w)
-        if not np.isfinite(qw):
+        subtract(u_next, u, d_x)
+        sup_change = float(max_reduce(absolute(d_x, d_x)))
+        # the pair this step returns; the previous pair is freed before w
+        u, v_cur = u_next, v_next
+        w = to_target(u)
+        qw = float(q_dot(w))
+        if not isfinite(qw):
             _check_finite(w, "trace softmin", m)
-        # e_col = sum |q (e^{k (w - v_next)} - 1)|, then sup |u_next - u|
-        d = np.subtract(w, v_next, out=scratch[:n_y])
-        d *= kern.k
-        np.expm1(d, out=d)
-        d *= kern.q
-        e_col = float(np.abs(d, out=d).sum())
-        d = np.subtract(u_next, u, out=scratch[:n_x])
-        record = TraceRecord(
-            m=m,
-            F=I_mu + qw,
-            I_mu=I_mu,
-            e_row=0.0,
-            e_col=e_col,
-            sup_change=float(np.abs(d, out=d).max()),
-            wall_time_ms=(time.perf_counter() - t0) * 1e3,
-        )
-        trace_list.append(record)
-        v_cur = v_next
-        u, v_next = u_next, w
-        if tol is not None and record.e_col <= tol:
+        subtract(w, v_cur, d_y)
+        multiply(d_y, k, d_y)
+        expm1(d_y, d_y)
+        multiply(d_y, q, d_y)
+        e_col = float(add_reduce(absolute(d_y, d_y)))
+        t1 = clock()
+        append(TraceRecord(m, I_mu + qw, I_mu, 0.0, e_col, sup_change, (t1 - t0) * 1e3))
+        t0 = t1
+        v_next = w
+        if tol is not None and e_col <= tol:
             reason = "tol"
             break
-        flat = flat + 1 if record.sup_change < STAGNATION_EPS else 0
+        flat = flat + 1 if sup_change < STAGNATION_EPS else 0
         if flat >= STAGNATION_RUNS:
             reason = "stagnated"
             break
@@ -375,7 +389,7 @@ def _finite_min(values):
     values = np.asarray(values, dtype=float)
     shift = values.min()
     if not np.isfinite(shift):  # a NaN or -inf entry, or every entry +inf
-        raise ValueError("potential contains non-finite entries")
+        raise ValueError(_NON_FINITE)
     return values, shift
 
 
@@ -478,28 +492,80 @@ class DenseApplicator:
 class LinearDomainApplicator(DenseApplicator):
     """A fast route: its own exact route plus a linear-domain shortcut.
 
-    Subclasses pass _setup the log-kernel builder of their exact route and
-    supply _linear_apply(w), the kernel on a positive vector (it may return
-    a buffer it owns and overwrites on the next call). An application
-    shifts by the potential's minimum, so the largest scaled weight is
-    exactly 1, forms the weights (_weights, in a scratch vector), applies
-    the kernel and takes the log back (_log_back, into the one fresh array
-    it returns), but only when the output's minimum exceeds the route's
-    _floor (NaN never does): the one trust check of the fast routes. The
-    floor is 0, or k * tiny / torus.SUBNORMAL_REL_ERROR on the exact 1-D
-    torus product. DenseApplicator._softmin redoes an untrusted
-    application, counted in .fallbacks; past DENSE_POINT_CAP points, where
-    that route is quadratic, the run aborts instead.
+    Subclasses pass _setup the log-kernel builder of their exact route,
+    set _linear_apply to their kernel on a positive vector (it may return
+    a buffer it owns and overwrites on the next call) and call _bind_pair
+    with the buffer the weights are formed in. That binds the softmin pair
+    once, as two closures over k and -k as 0-d arrays, the log weights,
+    the buffer, the kernel and the ufuncs they call, which
+    softmin_to_target and softmin_to_source call: an application is its
+    numpy calls in two Python frames plus the kernel's own. An
+    application takes the potential's minimum, refused unless finite, and
+    shifts by it, so the largest scaled weight is exactly 1; forms
+    exp(-k (values - shift) + log_weights) in the buffer, applies the
+    kernel and takes the log back, log(out) / k - shift, into the one
+    fresh array it returns; but only when the output's minimum exceeds
+    the route's _floor (NaN never does): the one trust check of the fast
+    routes. The floor is 0, or k * tiny / torus.SUBNORMAL_REL_ERROR on the
+    exact 1-D torus product. DenseApplicator._softmin redoes an untrusted
+    application, counted in .fallbacks; past DENSE_POINT_CAP points,
+    where that route is quadratic, the run aborts instead. The closures
+    reach the applicator only through a weak reference, for that redo, so
+    binding makes no reference cycle; the redo calls the applicator's own
+    methods, so a _build_dense patched on the instance still applies. A
+    caller holding softmin_to_target holds the applicator, as a bound
+    method does.
     """
 
     fallbacks = 0
     _floor = 0.0
-    _scratch = None
+    # the exact route until _bind_pair runs (mode="direct" never runs it)
+    _bound_to_target = DenseApplicator.softmin_to_target
+    _bound_to_source = DenseApplicator.softmin_to_source
 
-    def _softmin(self, values, shift, log_weights, to_target):
-        out = self._linear_apply(self._weights(values, shift, log_weights))
-        if out.min() > self._floor:
-            return self._log_back(out, shift)
+    def softmin_to_target(self, u):
+        """v(y_j) = log(sum_i exp(-k(c_ij + u_i)) p_i) / k, by the bound pair."""
+        return self._bound_to_target(u)
+
+    def softmin_to_source(self, v):
+        """u(x_i) = log(sum_j exp(-k(c_ij + v_j)) q_j) / k, by the bound pair."""
+        return self._bound_to_source(v)
+
+    def _bind_pair(self, w):
+        """Bind the pair's two closures, forming the weights in w.
+
+        w is a vector of len(p) == len(q) floats that both directions share.
+        """
+        self._bound_to_target = self._bound_softmin(self.log_p, True, w)
+        self._bound_to_source = self._bound_softmin(self.log_q, False, w)
+
+    def _bound_softmin(self, log_weights, to_target, w):
+        """One direction of the pair as a closure (see the class docstring)."""
+        kernel, floor, route = self._linear_apply, self._floor, weakref.ref(self)
+        neg_k, k, shift = np.array(-self.k), np.array(self.k), np.empty(())
+        asarray, minimum, isfinite = np.asarray, np.minimum.reduce, math.isfinite
+        subtract, multiply, add, exp, log, divide = (np.subtract, np.multiply, np.add,
+                                                     np.exp, np.log, np.divide)
+
+        def softmin(values):
+            values = asarray(values, dtype=float)
+            minimum(values, out=shift)
+            if not isfinite(shift):  # a NaN or -inf entry, or every entry +inf
+                raise ValueError(_NON_FINITE)
+            subtract(values, shift, w)
+            multiply(w, neg_k, w)
+            add(w, log_weights, w)
+            out = kernel(exp(w, w))
+            if minimum(out) > floor:
+                out = log(out)
+                divide(out, k, out)
+                return subtract(out, shift, out)
+            return route()._redo(values, shift, log_weights, to_target)
+
+        return softmin
+
+    def _redo(self, values, shift, log_weights, to_target):
+        """An untrusted application: the exact route, or an abort past the cap."""
         if self.size > DENSE_POINT_CAP:
             raise NumericalAbortError(
                 f"linear-domain kernel application underflowed double precision on "
@@ -508,20 +574,4 @@ class LinearDomainApplicator(DenseApplicator):
                 {"stage": "linear-domain apply", "points": self.size,
                  "dense_point_cap": DENSE_POINT_CAP, "fallbacks": self.fallbacks})
         self.fallbacks += 1
-        return super()._softmin(values, shift, log_weights, to_target)
-
-    def _weights(self, values, shift, log_weights):
-        """exp(-k (values - shift) + log_weights), formed in the scratch vector."""
-        if self._scratch is None:
-            self._scratch = np.empty(max(self.p.size, self.q.size))
-        w = np.subtract(values, shift, out=self._scratch[: values.size])
-        w *= -self.k
-        w += log_weights
-        return np.exp(w, out=w)
-
-    def _log_back(self, out, shift):
-        """log(out) / k - shift, in the one fresh array the application returns."""
-        out = np.log(out)
-        out /= self.k
-        out -= shift
-        return out
+        return DenseApplicator._softmin(self, values, shift, log_weights, to_target)

@@ -34,14 +34,15 @@ through that pair in the linear domain, the route it normally takes.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss, legvander, legval
 
 from .sinkhorn import (DENSE_POINT_CAP, DenseApplicator, LinearDomainApplicator,
-                       kernel_heat_time)
+                       _finite_min, kernel_heat_time)
 
 __all__ = [
     "SphericalGrid",
@@ -596,25 +597,33 @@ class SphereSHTApplicator(LinearDomainApplicator):
     Each application applies the zonal kernel in O(W^3) in the linear
     domain (see LinearDomainApplicator for the shift, the trust check, the
     redo on SphereDenseApplicator's matrix, counted in .fallbacks, and the
-    abort past DENSE_POINT_CAP nodes).
+    abort past DENSE_POINT_CAP nodes). The softmin pair is bound at
+    construction like the torus's, but owns no buffer: its weights and its
+    log back are fresh arrays (see _bound_softmin).
     """
 
     def __init__(self, grid, spec, p, q):
         self._mult = _on_grid(self, grid, spec, p, q)
-
-    def _linear_apply(self, w):
-        return _apply_zonal(self.grid, w, self._mult)
+        self._linear_apply = partial(_apply_zonal, grid, multipliers=self._mult)
+        self._bind_pair(None)
 
     # The weights and the log back allocate fresh temporaries here. Forming
     # them in place, as the torus routes do, cut a W=64 apply from about
     # 2200 to 1250 minor page faults in criterion 6's round-robin bench and
     # pulled its sphere slope from 1.45-1.48 to 1.33-1.47 (five fresh
     # processes each), against its floor of 1.35.
-    def _weights(self, values, shift, log_weights):
-        return np.exp(-self.k * (values - shift) + log_weights)
+    def _bound_softmin(self, log_weights, to_target, w):
+        """One direction of the pair, weights and log back in fresh arrays (w unused)."""
+        k, kernel, floor, route = self.k, self._linear_apply, self._floor, weakref.ref(self)
 
-    def _log_back(self, out, shift):
-        return np.log(out) / self.k - shift
+        def softmin(values):
+            values, shift = _finite_min(values)
+            out = kernel(np.exp(-k * (values - shift) + log_weights))
+            if out.min() > floor:
+                return np.log(out) / k - shift
+            return route()._redo(values, shift, log_weights, to_target)
+
+        return softmin
 
     def cost_row(self, i):
         # the dense route's matrix row, not one SHT apply of a unit vector,

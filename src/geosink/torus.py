@@ -31,12 +31,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .sinkhorn import (DENSE_POINT_CAP, DenseApplicator, LinearDomainApplicator,
-                       kernel_heat_time)
+from .sinkhorn import DENSE_POINT_CAP, LinearDomainApplicator, kernel_heat_time
 
 try:  # the gufuncs that np.fft.rfft and np.fft.irfft call (numpy 2)
     from numpy.fft import _pocketfft_umath as _pocketfft
@@ -354,23 +354,88 @@ def _fft_convolve(profile_hat, shape, vec, spectrum=None, out=None):
     return np.fft.irfft(spectrum, n=shape[-1], out=out).ravel()
 
 
+def _circulant_product(log_profile):
+    """The 1-D kernel out[j] = sum_i profile[(j - i) mod k] w_i, as a closure.
+
+    Output block [j0, j0 + B) is H @ w[(j0 + i) mod k], with H[r, i] =
+    profile[(r - i) mod k] the B x k head of the circulant. doubled holds
+    w twice, so the window of w at j0 is a row of a zero-copy view over
+    it; the windows of one BLAS product are copied into one gather buffer.
+    Returns the closure and doubled's first half, where the softmin pair
+    forms its weights: the closure copies w there unless w is that half,
+    and returns a view of the output blocks, overwritten by the next call.
+    The head, the gather buffer, the output blocks and the block schedule
+    are built at the first call: no k x k matrix is built.
+
+    Each BLAS product takes at least two windows (one alone would go to
+    GEMV) and, up to k = 4096, at most _GEMM_SERIAL multiply-adds, so it
+    runs on one thread whatever the size of the BLAS pool.
+    """
+    k = log_profile.size
+    doubled = np.empty(2 * k)
+    first, second = doubled[:k], doubled[k:]
+    head_t = schedule = out = None
+
+    def product(w):
+        nonlocal head_t, schedule, out
+        if head_t is None:
+            head_t, schedule, out = _circulant_schedule(log_profile, doubled)
+        if w is not first:
+            first[...] = w
+        second[...] = first
+        for windows, gathered, blocks in schedule:
+            gathered[...] = windows
+            np.matmul(gathered, head_t, out=blocks)
+        return out
+
+    return product, first
+
+
+def _circulant_schedule(log_profile, doubled):
+    """The transposed head, block schedule and output view of _circulant_product.
+
+    The schedule holds one (windows, gathered, blocks) triple per BLAS
+    product: the view of its windows over doubled, the gather buffer and
+    its rows of the output blocks.
+    """
+    k = log_profile.size
+    block = min(_BLOCK, k)
+    profile = np.exp(log_profile)
+    # H.T[i, r] = profile[(r - i) mod k]: row i reads the profile from (k - i) mod k
+    head_t = sliding_window_view(np.concatenate((profile, profile[:block])),
+                                 block)[:0:-1].copy()
+    # a window may run past k - 1 into the second copy of w
+    windows = sliding_window_view(doubled, k)[:k:block]
+    n_windows = windows.shape[0]
+    rows = min(n_windows, max(2, _GEMM_SERIAL // (block * k)))
+    gathered = np.empty((rows, k))
+    blocks = np.empty((n_windows, block))
+    schedule = []
+    for c in range(0, n_windows, rows):
+        c = min(c, n_windows - rows)  # the last product redoes a few windows
+        schedule.append((windows[c : c + rows], gathered, blocks[c : c + rows]))
+    # past k - 1 the last block repeats outputs 0, 1, ...
+    return head_t, schedule, blocks.reshape(-1)[:k]
+
+
 class TorusLatticeApplicator(LinearDomainApplicator):
     """Kernel application on the common lattice, direct or fast mode.
 
     The exact route is DenseApplicator's softmin over the circulant
     log-kernel, built at the first exact application; mode "direct" takes
-    it every time. mode "fft" applies the kernel in the linear domain (see
-    LinearDomainApplicator for the shift, the trust check and the redo,
-    counted in .fallbacks, or abort past DENSE_POINT_CAP points): by FFT in
-    2-D and 3-D; in 1-D, under the same name, as the exact circulant
-    product, trusted above k * tiny / 1e-13. Its output block [j0, j0 + B)
-    is H @ w[(j0 + i) mod k], with H[r, i] = profile[(r - i) mod k] the
-    B x k head of the circulant, built at the first apply. The windows of
-    w are rows of a zero-copy view over a doubled w, gathered a few at a
-    time: no k x k matrix is built.
+    it every time. mode "fft" binds the linear-domain softmin pair at
+    construction (see LinearDomainApplicator for the shift, the trust
+    check and the redo, counted in .fallbacks, or abort past
+    DENSE_POINT_CAP points) over one of two kernels. In 2-D and 3-D it is
+    the FFT convolution; the pair forms its weights in a lattice-sized
+    buffer and the convolution runs in a spectrum and an output the
+    applicator keeps. In 1-D, under the same name, it is the exact
+    circulant product (_circulant_product), trusted above
+    k * tiny / 1e-13; the pair forms its weights in the first half of the
+    product's doubled buffer, and the product's head and block schedule
+    are built at the first application, so construction costs no more
+    than the direct mode's.
     """
-
-    _head_t = None
 
     def __init__(self, grid, spec, p, q, mode="direct"):
         if grid.k != spec.k:
@@ -381,7 +446,7 @@ class TorusLatticeApplicator(LinearDomainApplicator):
             raise ValueError(f"unknown mode {mode!r}")
         if np.shape(p) != (grid.size,) or np.shape(q) != (grid.size,):
             raise ValueError("weight vectors must match the lattice size")
-        self._log_profile = log_profile = spec.log_cost_profile(grid)
+        log_profile = spec.log_cost_profile(grid)
         # the builder holds the profile, not the applicator
         self._setup(spec.k, p, q, lambda: _circulant_log_kernel(log_profile),
                     symmetric=True)
@@ -392,51 +457,14 @@ class TorusLatticeApplicator(LinearDomainApplicator):
         if mode == "fft":
             if grid.n == 1:
                 self._floor = grid.k * np.finfo(float).tiny / SUBNORMAL_REL_ERROR
+                self._linear_apply, buffer = _circulant_product(log_profile)
             else:
-                self._profile_hat = np.fft.rfftn(np.exp(self._log_profile))
-                self._spectrum = np.empty_like(self._profile_hat)
-                self._out = np.empty(grid.shape)
-
-    def _softmin(self, values, shift, log_weights, to_target):
-        if self.mode == "direct":
-            return DenseApplicator._softmin(self, values, shift, log_weights, to_target)
-        return super()._softmin(values, shift, log_weights, to_target)
-
-    def _linear_apply(self, w):
-        """The kernel on w, in a buffer the applicator reuses."""
-        if self.grid.n == 1:
-            return self._circulant_product(w)
-        return _fft_convolve(self._profile_hat, self.grid.shape, w,
-                             self._spectrum, self._out)
-
-    def _circulant_product(self, w):
-        """out[j] = sum_i profile[(j - i) mod k] w_i, B outputs per window.
-
-        Each BLAS product takes at least two windows (one alone would go to
-        GEMV) and, up to k = 4096, at most _GEMM_SERIAL multiply-adds, so
-        it runs on one thread whatever the size of the BLAS pool.
-        """
-        k = self.grid.k
-        if self._head_t is None:
-            block = min(_BLOCK, k)
-            profile = np.exp(self._log_profile)
-            # H.T[i, r] = profile[(r - i) mod k]: row i reads the profile from (k - i) mod k
-            self._head_t = sliding_window_view(
-                np.concatenate((profile, profile[:block])), block)[:0:-1].copy()
-            # a window may run past k - 1 into the second copy of w
-            self._doubled = np.empty(2 * k)
-            self._windows = sliding_window_view(self._doubled, k)
-            self._starts = np.arange(0, k, block)
-            self._rows = max(2, _GEMM_SERIAL // (block * k))
-            self._blocks = np.empty((self._starts.size, block))
-        self._doubled.reshape(2, k)[:] = w
-        starts, rows, blocks = self._starts, self._rows, self._blocks
-        for c in range(0, starts.size, rows):
-            c = max(0, min(c, starts.size - rows))  # the last product redoes a few windows
-            # fancy indexing gathers just these windows (np.take copies the view whole)
-            np.matmul(self._windows[starts[c : c + rows]], self._head_t,
-                      out=blocks[c : c + rows])
-        return blocks.ravel()[:k]  # past k - 1 the last block repeats outputs 0, 1, ...
+                profile_hat = np.fft.rfftn(np.exp(log_profile))
+                buffer = np.empty(grid.size)
+                self._linear_apply = partial(
+                    _fft_convolve, profile_hat, grid.shape,
+                    spectrum=np.empty_like(profile_hat), out=np.empty(grid.shape))
+            self._bind_pair(buffer)
 
     def cost_row(self, i):
         """Cost row c(x_i, .) over the target lattice, shape (N,)."""

@@ -222,3 +222,47 @@ def random_feasible_plans(p, q, n_plans, rng, sharpen=200.0):
     r = p[None, :] - plans.sum(axis=2)
     plans += r[:, :, None] * q[None, None, :]
     return plans
+
+
+def rotation_matching_walk(p, q, k, theta, collect=False):
+    """Monotone quantile matching of p against q rotated by mass theta.
+
+    The target is lifted to the line (atom j recurs at j/k + m for every
+    integer m) and its quantile axis shifts by theta; source quantiles
+    [0, 1) then match monotonically by a two-pointer walk. Each matched
+    chunk is priced at half its squared line displacement. O(k) Python
+    steps: the loop geosink.parabolic._rotation_matching vectorizes, kept
+    as its reference. Returns (cost, {(i, j): mass} or None).
+    """
+    Pc = np.cumsum(p)
+    Qc = np.cumsum(q)
+    m = int(np.floor(-theta))
+    target = -(m + theta)
+    j = int(np.searchsorted(Qc, target, side="right"))
+    if j == k:
+        j = 0
+        m += 1
+    i = 0
+    s = 0.0
+    cost = 0.0
+    pairs = {} if collect else None
+    while i < k:
+        p_up = Pc[i]
+        q_up = Qc[j] + m + theta
+        hi = min(p_up, q_up)
+        take = hi - s
+        if take > 1e-18:
+            d = i / k - (j / k + m)
+            cost += take * 0.5 * d * d
+            if collect:
+                key = (i, j)
+                pairs[key] = pairs.get(key, 0.0) + take
+        if p_up <= q_up:
+            i += 1
+        if q_up <= p_up:
+            j += 1
+            if j == k:
+                j = 0
+                m += 1
+        s = hi
+    return cost, pairs

@@ -702,6 +702,38 @@ class TestCircleOracle:
         with pytest.raises(ValueError, match="sum to 1"):
             circle_ot_oracle(np.ones(4), np.ones(4) / 4)
 
+    @pytest.mark.parametrize("bad, match", [
+        # summed to 1, this once gave cost 0.009375 and an infeasible plan
+        ((0.5, -0.1, 0.3, 0.3), "nonnegative"),
+        ((0.5, np.nan, 0.25, 0.25), "finite"),
+        ((0.5, np.inf, 0.25, 0.25), "finite"),
+    ])
+    @pytest.mark.parametrize("side", ["source", "target"])
+    def test_refuses_negative_or_non_finite_weights(self, bad, match, side):
+        bad, uniform = np.array(bad), np.full(4, 0.25)
+        pair = (bad, uniform) if side == "source" else (uniform, bad)
+        with pytest.raises(ValueError, match=match):
+            circle_ot_oracle(*pair)
+
+    @pytest.mark.parametrize("k", [4, 5, 16, 63, 128, 512])
+    def test_merged_ladders_match_the_two_pointer_walk(self, rng, k):
+        # the vectorized matching against the loop it replaced, at golden
+        # section probes, ladder alignments and the rotations near +-1
+        for kind in ("random", "wells", "flat-peaked", "uniform"):
+            p, q = self._oracle_pair(k, kind, rng)
+            Pc, Qc = np.cumsum(p), np.cumsum(q)
+            thetas = [-1.0, -0.999999, -0.5, 0.0, 0.3, 0.999999, 1.0,
+                      Pc[k // 3] - Qc[k // 2], Pc[1] - Qc[0] - 1.0, *rng.uniform(-1, 1, 8)]
+            for theta in thetas:
+                cost, pairs = parabolic._rotation_matching(Pc, Qc, theta, collect=True)
+                ref_cost, ref_pairs = oracles.rotation_matching_walk(p, q, k, theta,
+                                                                     collect=True)
+                assert abs(cost - ref_cost) <= 1e-14
+                assert parabolic._rotation_matching(Pc, Qc, theta)[0] == cost
+                assert list(pairs) == list(ref_pairs)
+                gap = np.array([pairs[key] - ref_pairs[key] for key in pairs])
+                assert np.abs(gap).max() <= 1e-15
+
 
 class TestExpConvergenceFit:
     def test_exact_exponential(self):

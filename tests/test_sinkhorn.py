@@ -1,5 +1,8 @@
 """Scaling iteration core: softmin updates, energy, marginals, plans."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -283,6 +286,77 @@ class TestRunUntil:
         state = run_until(initial_state(kern), kern, tol=tol, m_max=m_max)
         assert state.m == 3 and len(state.trace) == 3
         assert state.stop_reason == "m_max"
+
+
+def _reference_run(app, tol, m_max):
+    """run_until from u = 0 as plain expressions over the route's _linear_apply.
+
+    Each softmin shifts by the minimum, takes exp, applies the kernel,
+    takes the log, divides by k and subtracts the shift back; e_col and
+    sup_change are the expressions run_until's docstring states. Returns
+    (u, v, the TraceRecord fields but wall_time_ms, stop reason).
+    """
+    k = app.k
+
+    def softmin(values, log_weights):
+        shift = values.min()
+        out = app._linear_apply(np.exp(-k * (values - shift) + log_weights))
+        assert out.min() > app._floor  # the trusted branch only
+        return np.log(out) / k - shift
+
+    u, v_cur = np.zeros(app.size), np.zeros(app.size)
+    v = softmin(u, app.log_p)
+    records, flat, reason = [], 0, "m_max"
+    for m in range(1, m_max + 1):
+        u_next = softmin(v, app.log_q)
+        w = softmin(u_next, app.log_p)
+        I_mu = float(app.p @ u_next)
+        e_col = float(np.abs(app.q * np.expm1(k * (w - v))).sum())
+        sup_change = float(np.abs(u_next - u).max())
+        records.append((m, I_mu + float(app.q @ w), I_mu, 0.0, e_col, sup_change))
+        u, v_cur, v = u_next, v, w
+        if e_col <= tol:
+            reason = "tol"
+            break
+        flat = flat + 1 if sup_change < 1e-15 else 0
+        if flat >= 5:
+            reason = "stagnated"
+            break
+    return u, v_cur, records, reason
+
+
+class TestBoundStep:
+    # run_until and the fast routes bind their ufuncs, constants and
+    # buffers once; the arithmetic must stay that of the plain expressions
+    @pytest.mark.parametrize("kind", ["gaussian", "heat"])
+    @pytest.mark.parametrize("k", [16, 64, 256])
+    def test_one_dimensional_run_is_bitwise_the_reference(self, kind, k):
+        p = discretize_torus("6*(1-cos(2*pi*x1))", k, 1).weights
+        q = discretize_torus("6*(1-cos(2*pi*(x1-0.25)))", k, 1).weights
+        app = TorusLatticeApplicator(TorusGrid(1, k), TorusKernelSpec(kind, k), p, q,
+                                     mode="fft")
+        state = run_until(initial_state(app), app, tol=1e-12, A=4.0)
+        u, v, records, reason = _reference_run(app, 1e-12, m_max_schedule(k, 4.0))
+        assert app.fallbacks == 0
+        assert state.stop_reason == reason and state.m == len(records)
+        assert np.array_equal(state.u.values, u) and np.array_equal(state.v.values, v)
+        assert [(r.m, r.F, r.I_mu, r.e_row, r.e_col, r.sup_change)
+                for r in state.trace] == records
+
+    @pytest.mark.parametrize("kind", ["torus-1d", "torus-2d", "sphere"])
+    def test_bound_pair_makes_no_reference_cycle(self, kind):
+        # the pair reaches its applicator through a weak reference, so a
+        # dropped applicator and its buffers go at once, not at the next
+        # collection of the cycle collector
+        kern = _fast_applicator(kind)
+        kern.softmin_to_target(np.zeros(kern.size))
+        ref = weakref.ref(kern)
+        gc.disable()
+        try:
+            del kern
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class _Injecting:

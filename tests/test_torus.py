@@ -450,15 +450,15 @@ class TestStepAllocation:
     # a fast 2-D step allocates the two potentials it returns and nothing
     # else of the lattice's size; temporaries freed and re-allocated every
     # step made glibc trim and re-fault them (29 minor faults per step)
-    K = 192
+    N, K = 2, 192
+    F = "3*(1-cos(2*pi*x1)) + (1-cos(2*pi*x2))"
+    G = "3*(1-cos(2*pi*(x1-0.375))) + (1-cos(2*pi*(x2-0.25)))"
 
     @pytest.fixture(scope="class")
     def warm(self):
-        f = "3*(1-cos(2*pi*x1)) + (1-cos(2*pi*x2))"
-        g = "3*(1-cos(2*pi*(x1-0.375))) + (1-cos(2*pi*(x2-0.25)))"
-        p = discretize_torus(f, self.K, 2).weights
-        q = discretize_torus(g, self.K, 2).weights
-        app = TorusLatticeApplicator(TorusGrid(2, self.K),
+        p = discretize_torus(self.F, self.K, self.N).weights
+        q = discretize_torus(self.G, self.K, self.N).weights
+        app = TorusLatticeApplicator(TorusGrid(self.N, self.K),
                                      TorusKernelSpec("gaussian", self.K), p, q, mode="fft")
         return app, run_until(initial_state(app), app, tol=None, m_max=3)
 
@@ -481,13 +481,21 @@ class TestStepAllocation:
 
     def test_steps_allocate_only_their_potentials(self, warm):
         # run_until holds u, v and the next v across steps and one scratch
-        # array: four arrays, plus the two fresh potentials of the step
-        # in flight
+        # array: four arrays, plus the fresh potential of the step in
+        # flight (the previous pair is freed before the trace softmin)
         app, state = warm
         for steps in (1, 20):
             peak = self._peak_arrays(
                 lambda: run_until(state, app, tol=None, m_max=state.m + steps), app.size)
             assert peak < 6.2
+
+
+class TestStepAllocation1D(TestStepAllocation):
+    # the bound 1-D step likewise: the product gathers its windows into a
+    # buffer it keeps, where fancy indexing once made a fresh copy
+    N, K = 1, 4096
+    F = "3*(1-cos(2*pi*x1))"
+    G = "3*(1-cos(2*pi*(x1-0.375)))"
 
 
 SMOOTH_F = "3*(1-cos(2*pi*x1))"

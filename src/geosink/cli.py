@@ -25,7 +25,9 @@ import math
 import os
 import sys
 import time
+from dataclasses import fields
 from functools import cache, partial
+from operator import attrgetter
 from pathlib import Path
 
 import click
@@ -235,9 +237,6 @@ def _guard_numerics(work, out):
         raise ConfigError(str(exc))
 
 
-_TRACE_HEADER = ("m", "F", "I_mu", "e_row", "e_col", "sup_change", "wall_time_ms")
-
-
 def _solve_and_report(cfg, out, coord_header, applicator, xs, ys, extras=None):
     """Solve to cfg's stop rule and write what every Sinkhorn command reports.
 
@@ -248,7 +247,8 @@ def _solve_and_report(cfg, out, coord_header, applicator, xs, ys, extras=None):
     """
     import numpy as np
 
-    from .sinkhorn import entropic_cost, initial_state, normalized_potentials, run_until
+    from .sinkhorn import (TraceRecord, entropic_cost, initial_state, normalized_potentials,
+                           run_until)
 
     t0 = time.perf_counter()
     state = initial_state(applicator)
@@ -274,12 +274,8 @@ def _solve_and_report(cfg, out, coord_header, applicator, xs, ys, extras=None):
             [tuple(y) + (v[j],) for j, y in enumerate(ys)],
         )
     _write_csv(out / "potentials.csv", header, rows)
-    _write_csv(
-        out / "trace.csv",
-        _TRACE_HEADER,
-        [(r.m, r.F, r.I_mu, r.e_row, r.e_col, r.sup_change, r.wall_time_ms)
-         for r in state.trace],
-    )
+    columns = [f.name for f in fields(TraceRecord)]
+    _write_csv(out / "trace.csv", columns, map(attrgetter(*columns), state.trace))
     summary = {
         "config": cfg,
         "k": cfg["k"],

@@ -15,7 +15,8 @@ then one comparison of neighbours.
 
 Torus charts use coordinates in [0, 1)^n. Sphere charts use (phi, theta)
 with phi in [0, 2*pi) and theta strictly inside (0, pi); the grids used
-by the fast backends never touch the poles.
+by the fast backends never touch the poles. Every point and measure takes
+coordinates outside those ranges through one rule, _chart_coords.
 """
 
 from __future__ import annotations
@@ -51,21 +52,8 @@ class ManifoldPoint:
     coords: tuple
 
     def __post_init__(self):
-        if self.chart == "torus":
-            if not 1 <= len(self.coords) <= 3:
-                raise ValueError("torus points have 1 to 3 coordinates")
-            object.__setattr__(
-                self, "coords", tuple(float(c) % 1.0 for c in self.coords)
-            )
-        elif self.chart == "sphere":
-            if len(self.coords) != 2:
-                raise ValueError("sphere points are (phi, theta) pairs")
-            phi, theta = float(self.coords[0]), float(self.coords[1])
-            if not 0.0 < theta < np.pi:
-                raise ValueError(f"colatitude must lie in (0, pi), got {theta}")
-            object.__setattr__(self, "coords", (phi % (2.0 * np.pi), theta))
-        else:
-            raise ValueError(f"unknown chart {self.chart!r}")
+        coords = _chart_coords(self.chart, np.array([self.coords], dtype=float))
+        object.__setattr__(self, "coords", tuple(coords[0].tolist()))
 
     def to_unit_vector(self):
         if self.chart != "sphere":
@@ -128,6 +116,31 @@ class DensityField:
         return values
 
 
+def _chart_coords(chart, coords):
+    """coords (N, d) as a chart takes them: 1 to 3 torus coordinates modulo 1,
+    or sphere (phi, theta) pairs, phi modulo 2 pi and theta refused outside (0, pi)."""
+    if chart == "torus":
+        if not 1 <= coords.shape[1] <= 3:
+            raise ValueError("torus points have 1 to 3 coordinates")
+        columns, period = slice(None), 1.0
+    elif chart == "sphere":
+        if coords.shape[1] != 2:
+            raise ValueError("sphere points are (phi, theta) pairs")
+        bad = np.flatnonzero(~((coords[:, 1] > 0.0) & (coords[:, 1] < np.pi)))
+        if bad.size:
+            raise ValueError(f"colatitude must lie in (0, pi), got {coords[bad[0], 1]}")
+        columns, period = slice(0, 1), 2.0 * np.pi
+    else:
+        raise ValueError(f"unknown chart {chart!r}")
+    part = coords[:, columns]  # copied only to wrap, so grids pass as is
+    if not (part.min() >= 0.0 and part.max() < period):
+        coords = coords.copy()
+        part = coords[:, columns]
+        np.remainder(part, period, out=part)
+        part[part == period] = 0.0  # a tiny negative's remainder rounds up to the period
+    return coords
+
+
 def _has_repeated_row(coords):
     """True when two rows are equal in every column.
 
@@ -164,6 +177,7 @@ class DiscreteMeasure:
                 f"{coords.shape[0]} points are not, the first is row "
                 f"{bad[0]}: {coords[bad[0]].tolist()}"
             )
+        coords = _chart_coords(chart, coords)
         if _has_repeated_row(coords):
             raise ValueError("points must be pairwise distinct")
         self.chart = chart
@@ -255,13 +269,9 @@ def _parse_record(tag, fields, lineno, ndim):
         raise ValueError(f"line {lineno}: {exc}") from None
     coords = numbers[:n]
     weight = numbers[n] if len(numbers) == n + 1 else None
-    if chart == "torus":
-        coords = [c % 1.0 for c in coords]
-    else:
-        phi, theta = coords
-        if not 0.0 < theta < np.pi:
-            raise ValueError(f"line {lineno}: colatitude {theta} outside (0, pi)")
-        coords = [phi % (2.0 * np.pi), theta]
+    # DiscreteMeasure wraps the coordinates; this check names the line
+    if chart == "sphere" and not 0.0 < coords[1] < np.pi:
+        raise ValueError(f"line {lineno}: colatitude {coords[1]} outside (0, pi)")
     return chart, coords, weight
 
 
@@ -301,14 +311,11 @@ def load_point_cloud(path, renormalize=False, ndim=None):
         if np.any(w < 0):
             raise ValueError(f"{path}: negative weight")
         total = w.sum()
-        if abs(total - 1.0) > 1e-6:
-            if not renormalize:
-                raise ValueError(
-                    f"{path}: weights sum to {total!r}; pass renormalize to accept"
-                )
-            w = w / total
-        else:
-            w = w / total
+        if abs(total - 1.0) > 1e-6 and not renormalize:
+            raise ValueError(
+                f"{path}: weights sum to {total!r}; pass renormalize to accept"
+            )
+        w = w / total
     else:
         w = np.full(len(rows), 1.0 / len(rows))
     return DiscreteMeasure(charts[0], coords, w)

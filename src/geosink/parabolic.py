@@ -24,7 +24,6 @@ for mildly quasi-convex states.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isfinite
@@ -112,24 +111,9 @@ class ParabolicState:
         return self.min_eig > 0.0
 
 
-def _periodic_pad(u):
-    """u with one wrapped layer on every side.
-
-    Every periodic neighbour the stencils read is then a slice of this one
-    copy (see _Stepper), which is several times cheaper than one np.roll
-    per neighbour and holds the same values.
-    """
-    ext = u
-    for a in range(u.ndim):
-        lo = (slice(None),) * a + (slice(-1, None),)
-        hi = (slice(None),) * a + (slice(0, 1),)
-        ext = np.concatenate((ext[lo], ext, ext[hi]), axis=a)
-    return ext
-
-
 def _wrap_layer(ndim):
     """(destination, source) index pairs that refill the wrapped layer of a
-    _periodic_pad copy from its interior, axis by axis."""
+    copy padded by np.pad(u, 1, mode="wrap") from its interior, axis by axis."""
     pairs = []
     for a in range(ndim):
         lead = (slice(None),) * a
@@ -229,11 +213,10 @@ class _Forcing:
     then interpolates with prefilter=False. Optionally both exponents
     are shifted so that e^{-f} and e^{-g} have unit grid mean, the
     discrete solvability normalization (without it the mean of u drifts
-    linearly and the flow cannot settle).
+    linearly and the flow cannot settle). It holds no state of a run.
     """
 
     def __init__(self, grid, f, g, normalize):
-        self.grid = grid
         self.f_vals = _sample_exponent(f, grid)
         g_vals = _sample_exponent(g, grid)
         if normalize:
@@ -241,21 +224,12 @@ class _Forcing:
             g_vals = g_vals + np.log(np.mean(np.exp(-g_vals)))
         self.g_coeffs = spline_filter(g_vals, order=3, mode="grid-wrap")
         self.nodes = np.indices(grid.shape, dtype=float)
-        self._evaluated = False
-        self._taps = None
 
     def g_at(self, coords, out):
         """g's spline at coords (n, size), in grid units, into out (size,).
 
-        A 2-D forcing evaluated again, as along a flow, builds a tap cache
-        (_SplineTaps) on its second call; a one-off evaluation, as in
-        ma_residual, and every 1-D one calls the spline routine directly.
+        Calls the compiled routine behind map_coordinates where scipy has it.
         """
-        if self._taps is None and self.grid.n == 2 and self._evaluated:
-            self._taps = _SplineTaps(self.g_coeffs, coords.shape[1])
-        if self._taps is not None:
-            return self._taps(coords, out)
-        self._evaluated = True
         if _geometric_transform is None:
             return map_coordinates(self.g_coeffs, coords, output=out, order=3,
                                    mode="grid-wrap", prefilter=False)
@@ -328,10 +302,10 @@ def _check_det(hessian, det):
 class _Stepper:
     """The explicit Euler step, fused onto preallocated buffers.
 
-    u lives inside a _periodic_pad copy, so every neighbour the stencils
-    read is a fixed view of that copy and a step rewrites only the
-    interior and the wrapped layer. The right-hand side runs the same
-    array operations as the plain expressions
+    u lives inside its wrapped copy np.pad(u, 1, mode="wrap"), so every
+    neighbour the stencils read is a fixed view of that copy and a step
+    rewrites only the interior and the wrapped layer. The right-hand side
+    runs the same array operations as the plain expressions
 
         det = (1 + u_xx)(1 + u_yy) - u_xy^2  (1 + u_xx in 1-D)
         rhs = log det - g(x + grad u) + f,   u <- u + dt rhs
@@ -350,7 +324,10 @@ class _Stepper:
     buffers hold the band laid out as the padded copy's interior rows,
     (N, N + 2) in 2-D. The stencil, rhs and step are closures that bind
     their views, buffers, ufuncs and scalar operands (as _constant 0-d
-    arrays) once, here.
+    arrays) once, here. The run's spline state is the stepper's: a 2-D
+    rhs switches from the forcing's spline call to a tap cache over its
+    band (_SplineTaps) at its second evaluation, so a one-off evaluation
+    never builds one (it costs about three spline calls).
 
     A step screens, then diagnoses. The rhs is computed unchecked, so
     where det <= 0 its log leaves NaN or -inf. One sum over the finished
@@ -366,7 +343,7 @@ class _Stepper:
         if u.ndim not in (1, 2):
             raise ValueError("the parabolic solver supports n in {1, 2}")
         n, N = u.ndim, u.shape[0]
-        self.ext = ext = _periodic_pad(np.asarray(u, dtype=float))
+        self.ext = ext = np.pad(np.ascontiguousarray(u, dtype=float), 1, mode="wrap")
         self.u = ext[(slice(1, -1),) * n]
         self._flat = flat = ext.reshape(-1)
         # flat offsets of one step along each axis; the band starts at the
@@ -402,7 +379,7 @@ class _Stepper:
             f_vals[inside] = forcing.f_vals
             nodes[(slice(None),) + inside] = forcing.nodes
             self.rhs, self.step = self._bind_step(
-                forcing.g_at, band(rhs), rhs[inside], band(coords), band(nodes),
+                forcing, band(rhs), rhs[inside], band(coords), band(nodes),
                 band(mixed), band(f_vals), dx)
 
     def min_eig(self):
@@ -419,7 +396,7 @@ class _Stepper:
         """Raise unless det(I + H(u)) > 0 and finite at every node (_check_det)."""
         _check_det(self._hessian, self._diag_in[0])
 
-    def _bind_step(self, g_at, rhs_band, rhs_in, coords, nodes, g, f, dx):
+    def _bind_step(self, forcing, rhs_band, rhs_in, coords, nodes, g, f, dx):
         """rhs() and step(dt, where, t), closed over the band views.
 
         rhs() returns log det(I + H(u)) - g(x + grad u) + f, unchecked, as
@@ -436,14 +413,19 @@ class _Stepper:
         gradient = [(x, x_nodes, fwd, bwd) for x, x_nodes, (fwd, bwd)
                     in zip(coords, nodes, self._axes)]
         dx, two_dx = _constant(dx), _constant(2.0 * dx)
+        g_at, evaluations, two_d = forcing.g_at, 0, interior.ndim == 2
 
         def rhs():
+            nonlocal g_at, evaluations
             log(hessian(det=True), rhs_band)
             for x, x_nodes, fwd, bwd in gradient:
                 subtract(fwd, bwd, x)
                 divide(x, two_dx, x)
                 divide(x, dx, x)
                 add(x_nodes, x, x)
+            evaluations += 1
+            if evaluations == 2 and two_d:  # the run's tap cache (class docstring)
+                g_at = _SplineTaps(forcing.g_coeffs, g.size)
             g_at(coords, g)
             subtract(rhs_band, g, rhs_band)
             add(rhs_band, f, rhs_band)
@@ -568,14 +550,13 @@ def ma_residual(u, f, g, grid, normalize=True):
 
     Expression strings are sampled and prefiltered once per (grid, f, g,
     normalize) and reused by later calls, as along a recorded trajectory.
-    The rhs is the step's; its sup-norm is the screen, so only a
-    non-finite residual runs the positivity test, which raises
+    The rhs is a fresh stepper's, which calls the spline routine directly,
+    as a step's first does; its sup-norm is the screen, so only a non-finite
+    residual runs the positivity test, which raises
     NumericalAbortError("det(I + H) lost positivity") as a step does.
     """
     if isinstance(f, str) and isinstance(g, str):
-        # the copy shares the samples but starts without a tap cache, so
-        # each residual calls the spline routine directly
-        forcing = copy.copy(_expression_forcing(grid, f, g, normalize))
+        forcing = _expression_forcing(grid, f, g, normalize)
     else:
         forcing = _Forcing(grid, f, g, normalize)
     u = np.asarray(u, dtype=float).reshape(grid.shape)

@@ -64,7 +64,19 @@ def numeric_hessian(fn, x0):
     return (4.0 * d2(1e-4) - d2(2e-4)) / 3.0
 
 
-def _phase_record(alpha, h, x0, k, n):
+def stationary_phase_check(alpha, h, x0, k, n=None):
+    """Compare the lattice sum against its Laplace approximation at x0.
+
+    alpha and h are callables on (N, n) coordinate arrays (DensityFields
+    qualify). x0 must be the unique minimizer of alpha with positive
+    definite Hessian; both are verified numerically. Returns
+    {"lhs", "rhs", "err"}.
+    """
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    if n is None:
+        n = x0.size
+    if n not in (1, 2):
+        raise ValueError("stationary phase checks support n in {1, 2}")
     grid = TorusGrid(n, k)
     pts = grid.points()
     a_vals = _evaluate(alpha, pts)
@@ -94,22 +106,6 @@ def _phase_record(alpha, h, x0, k, n):
         np.linalg.det(hess)
     )
     return {"lhs": float(lhs), "rhs": float(rhs), "err": float(abs(lhs - rhs))}
-
-
-def stationary_phase_check(alpha, h, x0, k, n=None):
-    """Compare the lattice sum against its Laplace approximation at x0.
-
-    alpha and h are callables on (N, n) coordinate arrays (DensityFields
-    qualify). x0 must be the unique minimizer of alpha with positive
-    definite Hessian; both are verified numerically. Returns
-    {"lhs", "rhs", "err"}.
-    """
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    if n is None:
-        n = x0.size
-    if n not in (1, 2):
-        raise ValueError("stationary phase checks support n in {1, 2}")
-    return _phase_record(alpha, h, x0, k, n)
 
 
 def shifted_lattice_check(alpha, h, x0, k, n=None):

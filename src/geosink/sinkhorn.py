@@ -111,6 +111,11 @@ class Potential:
         self.values = np.asarray(self.values, dtype=float)
 
 
+def _values(pot):
+    """The float values of a Potential or of an array-like."""
+    return pot.values if isinstance(pot, Potential) else np.asarray(pot, float)
+
+
 @dataclass(slots=True)
 class TraceRecord:
     """One run_until step; slotted, as a long run keeps one per step."""
@@ -157,7 +162,7 @@ def softmin_update(pot, direction, kern):
     direction "x_to_y" maps a potential on X to v(y) =
     k^-1 log sum_i e^{-k(c(x_i,y)+u(x_i))} p_i; "y_to_x" is symmetric.
     """
-    values = pot.values if isinstance(pot, Potential) else np.asarray(pot, float)
+    values = _values(pot)
     if not np.all(np.isfinite(values)):
         raise ValueError(_NON_FINITE)
     if direction == "x_to_y":
@@ -307,7 +312,7 @@ def rho_density(u, kern):
     to rounding because the inner v-update makes the target marginal
     exact.
     """
-    values = u.values if isinstance(u, Potential) else np.asarray(u, float)
+    values = _values(u)
     su = kern.softmin_to_source(kern.softmin_to_target(values))
     return np.exp(kern.k * (su - values))
 
@@ -329,7 +334,7 @@ def energy_diagnostics(u, kern):
     limit. J costs a full O(N^2) sweep over cost rows; the others are
     single kernel applications.
     """
-    values = u.values if isinstance(u, Potential) else np.asarray(u, float)
+    values = _values(u)
     v = kern.softmin_to_target(values)
     I_mu = float(kern.p @ values)
     L_nu = -float(kern.q @ v)
@@ -339,10 +344,8 @@ def energy_diagnostics(u, kern):
 
 
 def plan_entry(state, i, j, kern):
-    """One plan entry gamma_ij = e^{-k(c_ij + u_i + v_j)} p_i q_j."""
-    c_ij = kern.cost_row(i)[j]
-    expo = -state.k * (c_ij + state.u.values[i] + state.v.values[j])
-    return float(np.exp(expo) * kern.p[i] * kern.q[j])
+    """One plan entry gamma_ij = e^{-k(c_ij + u_i + v_j)} p_i q_j, from plan_row."""
+    return float(plan_row(state, kern, i)[j])
 
 
 def plan_row(state, kern, i):
@@ -370,8 +373,7 @@ def hilbert_distance(u1, u2):
     Zero exactly when the two potentials differ by a constant, which is
     the right notion of distance for objects defined modulo R.
     """
-    a = u1.values if isinstance(u1, Potential) else np.asarray(u1, float)
-    b = u2.values if isinstance(u2, Potential) else np.asarray(u2, float)
+    a, b = _values(u1), _values(u2)
     if a.shape != b.shape:
         raise ValueError("potentials live on different supports")
     d = a - b
@@ -382,6 +384,13 @@ def normalized_potentials(state):
     """(u, v) shifted so u[0] = 0, with the plan left invariant."""
     shift = state.u.values[0]
     return state.u.values - shift, state.v.values + shift
+
+
+def _check_dense_cap(points):
+    """Refuse a dense route over more than DENSE_POINT_CAP points, before it allocates."""
+    if points > DENSE_POINT_CAP:
+        raise ValueError(f"the dense route is quadratic; {points} points exceeds the "
+                         f"{DENSE_POINT_CAP} point cap")
 
 
 def _finite_min(values):
@@ -439,12 +448,7 @@ class DenseApplicator:
 
     def _build_dense(self):
         """Build the matrix under the cap, then drop the builder and what it holds."""
-        points = max(self.p.size, self.q.size)
-        if points > DENSE_POINT_CAP:
-            raise ValueError(
-                f"the dense route is quadratic; {points} points exceeds the "
-                f"{DENSE_POINT_CAP} point cap"
-            )
+        _check_dense_cap(max(self.p.size, self.q.size))
         log_K = self._log_kernel()
         if log_K.shape != (self.p.size, self.q.size):
             raise ValueError("cost matrix shape must be (len(p), len(q))")
@@ -456,8 +460,8 @@ class DenseApplicator:
     def size(self):
         return self.p.size
 
-    def _softmin(self, values, shift, log_weights, to_target):
-        """The exact log-sum-exp, building the matrix first if need be; shift is unused."""
+    def _softmin(self, values, log_weights, to_target):
+        """The exact log-sum-exp, building the matrix first if need be."""
         if self._log_kernel is not None:
             self._build_dense()
         rows = self._to_target if to_target else self._to_source
@@ -471,11 +475,11 @@ class DenseApplicator:
 
     def softmin_to_target(self, u):
         """v(y_j) = log(sum_i exp(-k(c_ij + u_i)) p_i) / k."""
-        return self._softmin(*_finite_min(u), self.log_p, True)
+        return self._softmin(_finite_min(u)[0], self.log_p, True)
 
     def softmin_to_source(self, v):
         """u(x_i) = log(sum_j exp(-k(c_ij + v_j)) q_j) / k."""
-        return self._softmin(*_finite_min(v), self.log_q, False)
+        return self._softmin(_finite_min(v)[0], self.log_q, False)
 
     def cost_row(self, i):
         return -self._to_source[i] / self.k
@@ -560,11 +564,11 @@ class LinearDomainApplicator(DenseApplicator):
                 out = log(out)
                 divide(out, k, out)
                 return subtract(out, shift, out)
-            return route()._redo(values, shift, log_weights, to_target)
+            return route()._redo(values, log_weights, to_target)
 
         return softmin
 
-    def _redo(self, values, shift, log_weights, to_target):
+    def _redo(self, values, log_weights, to_target):
         """An untrusted application: the exact route, or an abort past the cap."""
         if self.size > DENSE_POINT_CAP:
             raise NumericalAbortError(
@@ -574,4 +578,4 @@ class LinearDomainApplicator(DenseApplicator):
                 {"stage": "linear-domain apply", "points": self.size,
                  "dense_point_cap": DENSE_POINT_CAP, "fallbacks": self.fallbacks})
         self.fallbacks += 1
-        return DenseApplicator._softmin(self, values, shift, log_weights, to_target)
+        return DenseApplicator._softmin(self, values, log_weights, to_target)

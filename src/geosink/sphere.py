@@ -41,7 +41,7 @@ from functools import lru_cache, partial
 import numpy as np
 from numpy.polynomial.legendre import leggauss, legvander, legval
 
-from .sinkhorn import (DENSE_POINT_CAP, DenseApplicator, LinearDomainApplicator,
+from .sinkhorn import (DenseApplicator, LinearDomainApplicator, _check_dense_cap,
                        _finite_min, kernel_heat_time)
 
 __all__ = [
@@ -349,18 +349,10 @@ def positive_heat_multipliers(t, W):
     raise ValueError(f"truncated heat kernel is not positive at t={t:g}, W={W}; {advice}")
 
 
-def _dense_nodes(grid):
-    """grid.embed() for a dense kernel matrix, refused past DENSE_POINT_CAP nodes."""
-    if grid.size > DENSE_POINT_CAP:
-        raise ValueError(
-            f"{grid.size} nodes exceeds the {DENSE_POINT_CAP} cap for dense kernels"
-        )
-    return grid.embed()
-
-
 def bandlimited_heat_matrix(grid, t):
     """Dense degree-W heat kernel matrix (for checks and small runs)."""
-    xyz = _dense_nodes(grid)
+    _check_dense_cap(grid.size)
+    xyz = grid.embed()
     return _zonal_kernel(xyz, xyz, heat_multipliers(t, grid.W))
 
 
@@ -444,7 +436,8 @@ def antenna_kernel_apply(grid, values, k, degree=None):
 
 def antenna_kernel_matrix(grid, k):
     """Dense antenna kernel matrix 2^k (1 - x_i . x_j)^k = |x_i - x_j|^(2k)."""
-    xyz = _dense_nodes(grid)
+    _check_dense_cap(grid.size)
+    xyz = grid.embed()
     return np.exp(SphereKernelSpec("antenna", k).log_kernel(xyz, xyz, grid.W))
 
 
@@ -621,7 +614,7 @@ class SphereSHTApplicator(LinearDomainApplicator):
             out = kernel(np.exp(-k * (values - shift) + log_weights))
             if out.min() > floor:
                 return np.log(out) / k - shift
-            return route()._redo(values, shift, log_weights, to_target)
+            return route()._redo(values, log_weights, to_target)
 
         return softmin
 

@@ -115,8 +115,7 @@ class TorusGrid:
 
     def points(self):
         """All lattice points, shape (k^n, n), lexicographic order."""
-        axes = np.meshgrid(*([self.axis] * self.n), indexing="ij")
-        return np.stack(axes, axis=-1).reshape(-1, self.n)
+        return self.displacements().reshape(-1, self.n)
 
     def displacements(self):
         """Displacement lattice delta_j = x_j - x_0, shape (k,)*n + (n,)."""
@@ -124,12 +123,14 @@ class TorusGrid:
         return np.stack(axes, axis=-1)
 
     def index_of(self, coords):
-        """Lattice index of a point that lies exactly on the grid."""
+        """Lattice index of a point within 1e-12 of the grid, across the seam too."""
         coords = np.atleast_1d(np.asarray(coords, dtype=float))
-        idx = np.rint(coords * self.k).astype(int) % self.k
-        if not np.allclose(idx / self.k, coords % 1.0, atol=1e-12):
+        scaled = coords * self.k
+        nearest = np.rint(scaled)
+        if not np.all(np.abs(scaled - nearest) <= 1e-12 * self.k):  # NaN fails
             raise ValueError(f"{coords} is not a lattice point for k={self.k}")
-        return int(np.ravel_multi_index(tuple(idx), (self.k,) * self.n))
+        idx = nearest.astype(int) % self.k
+        return int(np.ravel_multi_index(tuple(idx), self.shape))
 
 
 def torus_cost(x, y):
@@ -438,15 +439,11 @@ class TorusLatticeApplicator(LinearDomainApplicator):
     """
 
     def __init__(self, grid, spec, p, q, mode="direct"):
-        if grid.k != spec.k:
-            raise ValueError(
-                f"grid resolution {grid.k} does not match kernel sharpness {spec.k}"
-            )
+        log_profile = spec.log_cost_profile(grid)  # checks grid.k == spec.k
         if mode not in ("direct", "fft"):
             raise ValueError(f"unknown mode {mode!r}")
         if np.shape(p) != (grid.size,) or np.shape(q) != (grid.size,):
             raise ValueError("weight vectors must match the lattice size")
-        log_profile = spec.log_cost_profile(grid)
         # the builder holds the profile, not the applicator
         self._setup(spec.k, p, q, lambda: _circulant_log_kernel(log_profile),
                     symmetric=True)

@@ -11,14 +11,6 @@ import pytest
 _ACCEPTANCE = {}
 
 
-def pytest_configure(config):
-    config.addinivalue_line(
-        "markers",
-        "acceptance(num, label): marks a test as covering one acceptance criterion",
-    )
-    config.addinivalue_line("markers", "slow: long-running checks (several minutes)")
-
-
 @pytest.hookimpl(hookwrapper=True)
 def pytest_runtest_makereport(item, call):
     outcome = yield

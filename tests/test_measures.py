@@ -14,6 +14,7 @@ from geosink.measures import (
     load_point_cloud,
 )
 from geosink.sphere import SphericalGrid
+from geosink.torus import TorusGrid
 
 
 class TestDiscretizeTorus:
@@ -287,3 +288,66 @@ class TestFlatCoordinates:
     def test_length_mismatch_still_raises(self):
         with pytest.raises(ValueError, match="one weight per point required"):
             DiscreteMeasure("torus", [0.1, 0.5, 0.7], [0.5, 0.5])
+
+
+class TestChartRule:
+    def test_torus_points_one_period_apart_are_one_point(self):
+        with pytest.raises(ValueError, match="^points must be pairwise distinct$"):
+            DiscreteMeasure("torus", [[0.5], [1.5]], [0.5, 0.5])
+
+    def test_torus_coordinates_are_taken_modulo_one(self):
+        m = DiscreteMeasure("torus", [[-0.25, 0.5], [1.5, 2.0]], [0.5, 0.5])
+        assert m.coords.tolist() == [[0.75, 0.5], [0.5, 0.0]]
+
+    def test_a_remainder_that_rounds_to_one_is_zero(self):
+        # -1e-20 % 1.0 rounds to 1.0, which is the point 0
+        m = DiscreteMeasure("torus", [[-1e-20], [0.5]], [0.5, 0.5])
+        assert m.coords.tolist() == [[0.0], [0.5]]
+        with pytest.raises(ValueError, match="pairwise distinct"):
+            DiscreteMeasure("torus", [[-1e-20], [0.0]], [0.5, 0.5])
+
+    def test_sphere_longitudes_are_taken_modulo_two_pi(self):
+        m = DiscreteMeasure("sphere", [[-0.5, 1.0], [7.0, 2.0]], [0.5, 0.5])
+        assert_allclose(m.coords, [[2.0 * np.pi - 0.5, 1.0], [7.0 - 2.0 * np.pi, 2.0]],
+                        rtol=0, atol=1e-15)
+        assert m.coords[:, 1].tolist() == [1.0, 2.0]
+
+    @pytest.mark.parametrize("theta", [0.0, np.pi, -0.5, 4.0])
+    def test_sphere_colatitude_outside_the_open_range_rejected(self, theta):
+        with pytest.raises(ValueError, match=r"colatitude must lie in \(0, pi\)"):
+            DiscreteMeasure("sphere", [[0.1, 1.0], [0.2, theta]], [0.5, 0.5])
+
+    def test_sphere_points_are_pairs(self):
+        with pytest.raises(ValueError, match="pairs"):
+            DiscreteMeasure("sphere", [[0.1, 1.0, 0.5]], [1.0])
+
+    def test_the_caller_array_is_not_wrapped_in_place(self):
+        coords = np.array([[1.25], [0.5]])
+        m = DiscreteMeasure("torus", coords, [0.5, 0.5])
+        assert coords.tolist() == [[1.25], [0.5]]
+        assert m.coords.tolist() == [[0.25], [0.5]]
+
+    @pytest.mark.parametrize("n, k", WORKLOAD_LATTICES)
+    def test_lattices_pass_unchanged(self, n, k):
+        assert np.array_equal(discretize_torus("0", k, n).coords, TorusGrid(n, k).points())
+
+    @pytest.mark.parametrize("W", WORKLOAD_BANDWIDTHS)
+    def test_sphere_grids_pass_unchanged(self, W):
+        grid = SphericalGrid(W)
+        assert discretize_sphere("0", grid).coords is grid.angles()
+
+    def test_cloud_colatitude_error_names_the_line(self, tmp_path):
+        with pytest.raises(ValueError, match=r"^line 2: colatitude 3.5 outside"):
+            _cloud(tmp_path, "sphere 0.1 1.0\nsphere 0.2 3.5\n")
+
+    def test_a_point_takes_the_measure_rule(self):
+        assert ManifoldPoint("torus", (-1e-20, 1.5)).coords == (0.0, 0.5)
+        m = DiscreteMeasure("sphere", [[-0.5, 1.0]], [1.0])
+        assert ManifoldPoint("sphere", (-0.5, 1.0)).coords == tuple(m.coords[0])
+        with pytest.raises(ValueError, match="unknown chart"):
+            ManifoldPoint("plane", (0.5, 0.5))
+
+    def test_cloud_wrap_is_the_measure_wrap(self, tmp_path):
+        mu = _cloud(tmp_path, "sphere -0.5 1.0\nsphere 7.0 2.0\n")
+        ref = DiscreteMeasure("sphere", [[-0.5, 1.0], [7.0, 2.0]], [0.5, 0.5])
+        assert np.array_equal(mu.coords, ref.coords)

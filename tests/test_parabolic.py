@@ -345,9 +345,11 @@ class TestSplineEvaluation:
         g = rng.standard_normal(grid.size)
         f = np.zeros(grid.size)
         forcing = parabolic._Forcing(grid, f, g, normalize=False)
+        taps = parabolic._SplineTaps(forcing.g_coeffs)
         nodes = forcing.nodes.reshape(2, -1)
         coords = nodes + rng.uniform(0.1, 0.9, nodes.shape)
         out = np.empty(grid.size)
+        taps(coords, out)
         for _ in range(6):
             # most points stay in their cell, a random few jump by 1-2 cells
             cells = np.floor(coords)
@@ -356,9 +358,10 @@ class TestSplineEvaluation:
             coords[:, jump] += rng.integers(-2, 3, (2, jump.sum()))
             moved = (np.floor(coords) != cells).any(axis=0)
             assert 0 < moved.sum() < grid.size
-            got = forcing.g_at(coords, out).copy()
-            fresh = parabolic._Forcing(grid, f, g, normalize=False)
-            assert np.array_equal(got, fresh.g_at(coords, np.empty(grid.size)))
+            got = taps(coords, out).copy()
+            fresh = parabolic._SplineTaps(forcing.g_coeffs)
+            assert np.array_equal(got, fresh(coords, np.empty(grid.size)))
+            assert np.array_equal(got, forcing.g_at(coords, np.empty(grid.size)))
             assert np.abs(got - _spline_reference(forcing.g_coeffs, coords)).max() <= 1e-15
 
     def test_direct_call_matches_map_coordinates(self, rng, monkeypatch):
@@ -427,6 +430,35 @@ class TestFusedStepper:
         got = solve_parabolic(np.zeros(grid.size), f, g, T, grid, normalize=False)[-1].u
         ref = _reference_flow(np.zeros(grid.shape), f, g, T, dt)
         assert np.abs(got - ref).max() <= 1e-13
+
+    def test_two_dimensional_tap_cache_is_bitwise_the_spline_call(self, rng, monkeypatch):
+        grid = TorusGrid(2, 24)
+        f, g = self._pair(grid, rng)
+        T = 80 * 0.1 * grid.spacing**2  # 80 steps of the default dt
+        cached = solve_parabolic(np.zeros(grid.size), f, g, T, grid, normalize=False)
+        built = []
+
+        def spline_call(coeffs, size):
+            built.append(size)
+            return lambda coords, out: map_coordinates(
+                coeffs, coords, output=out, order=3, mode="grid-wrap", prefilter=False)
+
+        monkeypatch.setattr(parabolic, "_SplineTaps", spline_call)
+        direct = solve_parabolic(np.zeros(grid.size), f, g, T, grid, normalize=False)
+        # the run switched to its cache once, at its second step
+        assert len(built) == 1
+        assert np.array_equal(cached[-1].u, direct[-1].u)
+
+    def test_fortran_ordered_start_runs_the_same_flow(self, rng):
+        # the stepper works on the flat storage of its padded copy, which
+        # must be a view of that copy whatever the layout of u0
+        grid = TorusGrid(2, 16)
+        f, g = self._pair(grid, rng)
+        x = grid.points().reshape(grid.shape + (2,))
+        u0 = 1e-3 * np.cos(2.0 * np.pi * (x[..., 0] + 2.0 * x[..., 1]))
+        c_run = solve_parabolic(u0, f, g, 0.01, grid, normalize=False)[-1].u
+        f_run = solve_parabolic(np.asfortranarray(u0), f, g, 0.01, grid, normalize=False)
+        assert np.array_equal(c_run, f_run[-1].u)
 
     def test_residual_and_step_use_the_same_right_hand_side(self, rng):
         grid = TorusGrid(2, 16)

@@ -55,6 +55,16 @@ class TestTorusGrid:
         with pytest.raises(ValueError, match="not a lattice point"):
             TorusGrid(1, 8).index_of([0.3])
 
+    def test_near_miss_past_the_absolute_tolerance_rejected(self):
+        # 5e-6 from point 3 of k = 4, inside a relative tolerance of 1e-5
+        with pytest.raises(ValueError, match="not a lattice point"):
+            TorusGrid(1, 4).index_of([0.750005])
+
+    @pytest.mark.parametrize("x", [-1e-14, 1.0 - 1e-14, 1.0, -1.0])
+    def test_points_across_the_seam_are_point_zero(self, x):
+        assert TorusGrid(1, 4).index_of([x]) == 0
+        assert TorusGrid(2, 4).index_of([0.25, x]) == 4
+
     def test_dimension_guard(self):
         with pytest.raises(ValueError, match="dimension"):
             TorusGrid(4, 3)

@@ -707,10 +707,11 @@ def bench_torus_route(ks):
     """
     from .sinkhorn import initial_state, run_until
 
-    calls = []
+    apps, calls = [], []  # apps keeps each route alive: its pair holds it weakly
     for k in ks:
         app = _readme_pair_applicator(k)
         u = run_until(initial_state(app), app, tol=None, m_max=40).u.values
+        apps.append(app)
         calls.append((partial(app.softmin_to_target, u), 1))
     return [(k, float(t)) for k, t in zip(ks, _interleaved_min(calls, 5))]
 
@@ -740,7 +741,7 @@ def bench_sphere_apply(bandwidths):
 
     from .sphere import SphereKernelSpec, SphereSHTApplicator, SphericalGrid
 
-    sizes, calls = [], []
+    sizes, apps, calls = [], [], []  # apps keeps each route alive: its pair holds it weakly
     for W in bandwidths:
         grid = SphericalGrid(W)
         p = grid.node_weights.copy()
@@ -748,50 +749,9 @@ def bench_sphere_apply(bandwidths):
         u = np.zeros(grid.size)
         app.softmin_to_target(u)
         sizes.append(grid.size)
+        apps.append(app)
         calls.append((partial(app.softmin_to_target, u), 2))
     return [(n, float(t)) for n, t in zip(sizes, _interleaved_min(calls, 5))]
-
-
-def bench_parabolic_steps():
-    """Microseconds per explicit Euler step of solve_parabolic.
-
-    Two sizes: 1-D N=256 at the default dt and 2-D 64x64 at dt = 0.1 dx^2,
-    with shifted cosine wells as forcing. Each of 3 reps runs the flow
-    for 300 steps and for none; the difference of the two minima over
-    reps, per step, leaves out sampling, prefilter and the checks at the
-    start and the end.
-    """
-    import numpy as np
-
-    from .parabolic import solve_parabolic
-    from .torus import TorusGrid
-
-    def well(a, axis, shift):
-        return f"{a}*(1-cos(2*pi*(x{axis}-{shift})))"
-
-    cases = (
-        (1, 256, well(0.3, 1, 0), well(0.3, 1, 0.25), None),
-        (2, 64, f"{well(0.3, 1, 0)} + {well(0.2, 2, 0)}",
-         f"{well(0.3, 1, 0.25)} + {well(0.2, 2, 0.5)}", 0.1 / 64**2),
-    )
-    steps, records = 300, []
-    for n, N, f, g, dt in cases:
-        grid = TorusGrid(n, N)
-        u0 = np.zeros(grid.size)
-        dt_run = solve_parabolic(u0, f, g, 0.0, grid, dt=dt)[-1].dt
-        best = {0: np.inf, steps: np.inf}
-        for _ in range(3):
-            for count in best:
-                t0 = time.perf_counter()
-                solve_parabolic(u0, f, g, count * dt_run, grid, dt=dt)
-                best[count] = min(best[count], time.perf_counter() - t0)
-        records.append({
-            "n": n,
-            "N": N,
-            "steps": steps,
-            "us_per_step": 1e6 * (best[steps] - best[0]) / steps,
-        })
-    return records
 
 
 def fit_loglog_slope(pairs):
@@ -895,7 +855,6 @@ def _suite_bench(cfg):
     sphere_pairs = bench_sphere_apply(cfg["sphere_bandwidths"])
     torus_route = bench_torus_route([512, 1024, 2048, 4096])
     torus_solves = bench_torus_solves([256, 1024])
-    parabolic_steps = bench_parabolic_steps()
     torus_slope = fit_loglog_slope(torus_pairs)
     sphere_slope = fit_loglog_slope(sphere_pairs)
     failures = []
@@ -915,7 +874,6 @@ def _suite_bench(cfg):
         "torus_route": torus_route,
         "torus_route_slope": fit_loglog_slope(torus_route),
         "torus_solves": torus_solves,
-        "parabolic_steps": parabolic_steps,
         "torus_slope": torus_slope,
         "sphere_slope": sphere_slope,
         "failures": failures,

@@ -27,7 +27,7 @@ import numpy as np
 
 from .expressions import parse_expression
 from .sphere import SphericalGrid, sphere_embed
-from .torus import TorusGrid
+from .torus import TorusGrid, torus_cost
 
 __all__ = [
     "EXP_BOUND",
@@ -308,6 +308,7 @@ def load_point_cloud(path, renormalize=False, ndim=None):
     coords = np.array(rows, dtype=float)
     if all(has_w):
         w = np.array(weights, dtype=float)
+        # before the division: renormalized, all-negative weights turn positive
         if np.any(w < 0):
             raise ValueError(f"{path}: negative weight")
         total = w.sum()
@@ -328,9 +329,7 @@ def load_point_cloud(path, renormalize=False, ndim=None):
 
 def _ball_masses(measure, centers, radius):
     if measure.chart == "torus":
-        diff = np.abs(measure.coords[None, :, :] - centers[:, None, :])
-        diff = np.minimum(diff, 1.0 - diff)
-        dist = np.sqrt((diff**2).sum(axis=2))
+        dist = np.sqrt(2.0 * torus_cost(measure.coords[None, :, :], centers[:, None, :]))
     else:
         xyz = sphere_embed(measure.coords[:, 0], measure.coords[:, 1])
         cxyz = sphere_embed(centers[:, 0], centers[:, 1])
@@ -345,7 +344,8 @@ def check_density_property(measure, k, radius, sample_centers):
     Values near zero from below mean every sampled ball carries mass
     bounded below by e^{k * value}; an empty ball gives -inf. Centers are
     coordinate rows in the measure's chart (torus distances are periodic
-    euclidean, sphere distances chordal).
+    euclidean, so a torus center and its shift by whole periods give the
+    same mass; sphere distances are chordal).
     """
     centers = np.atleast_2d(np.asarray(sample_centers, dtype=float))
     if centers.shape[1] != measure.coords.shape[1]:

@@ -26,8 +26,9 @@ into: run_until keeps three of them across steps and callers keep the
 returned potentials. A fast route binds its softmin pair once, at
 construction: two closures over k, the log weights, the route's kernel
 and the buffers it owns and reuses (the linear-domain weights, transform
-spectra, product blocks), so one application is its numpy calls plus a
-few Python frames, and on the torus it allocates nothing of the
+spectra, product blocks), which become the route's own softmin_to_target
+and softmin_to_source attributes. So one application is its numpy calls
+plus a few Python frames, and on the torus it allocates nothing of the
 support's size except the array it returns.
 The sphere's pair keeps fresh temporaries, which a test of its timing
 slope depends on (see sphere.py). run_until binds its step the same way,
@@ -501,11 +502,11 @@ class LinearDomainApplicator(DenseApplicator):
     a buffer it owns and overwrites on the next call) and call _bind_pair
     with the buffer the weights are formed in. That binds the softmin pair
     once, as two closures over k and -k as 0-d arrays, the log weights,
-    the buffer, the kernel and the ufuncs they call, which
-    softmin_to_target and softmin_to_source call: an application is its
-    numpy calls in two Python frames plus the kernel's own. An
-    application takes the potential's minimum, refused unless finite, and
-    shifts by it, so the largest scaled weight is exactly 1; forms
+    the buffer, the kernel and the ufuncs they call, assigned as the
+    instance's own softmin_to_target and softmin_to_source: an
+    application is its numpy calls in one Python frame plus the kernel's
+    own. An application takes the potential's minimum, refused unless
+    finite, and shifts by it, so the largest scaled weight is exactly 1; forms
     exp(-k (values - shift) + log_weights) in the buffer, applies the
     kernel and takes the log back, log(out) / k - shift, into the one
     fresh array it returns; but only when the output's minimum exceeds
@@ -514,38 +515,29 @@ class LinearDomainApplicator(DenseApplicator):
     exact 1-D torus product. DenseApplicator._softmin redoes an untrusted
     application, counted in .fallbacks; past DENSE_POINT_CAP points,
     where that route is quadratic, the run aborts instead. The closures
-    reach the applicator only through a weak reference, for that redo, so
+    reach the applicator only through a weak proxy, for that redo, so
     binding makes no reference cycle; the redo calls the applicator's own
-    methods, so a _build_dense patched on the instance still applies. A
-    caller holding softmin_to_target holds the applicator, as a bound
-    method does.
+    methods, so a _build_dense patched on the instance still applies. So
+    a caller that keeps only the pair must keep the applicator too: a redo
+    after the applicator is gone raises ReferenceError.
     """
 
     fallbacks = 0
     _floor = 0.0
-    # the exact route until _bind_pair runs (mode="direct" never runs it)
-    _bound_to_target = DenseApplicator.softmin_to_target
-    _bound_to_source = DenseApplicator.softmin_to_source
-
-    def softmin_to_target(self, u):
-        """v(y_j) = log(sum_i exp(-k(c_ij + u_i)) p_i) / k, by the bound pair."""
-        return self._bound_to_target(u)
-
-    def softmin_to_source(self, v):
-        """u(x_i) = log(sum_j exp(-k(c_ij + v_j)) q_j) / k, by the bound pair."""
-        return self._bound_to_source(v)
 
     def _bind_pair(self, w):
-        """Bind the pair's two closures, forming the weights in w.
+        """Assign the pair's two closures to the instance, forming the weights in w.
 
         w is a vector of len(p) == len(q) floats that both directions share.
+        Until this runs (mode="direct" never runs it) the pair is
+        DenseApplicator's.
         """
-        self._bound_to_target = self._bound_softmin(self.log_p, True, w)
-        self._bound_to_source = self._bound_softmin(self.log_q, False, w)
+        self.softmin_to_target = self._bound_softmin(self.log_p, True, w)
+        self.softmin_to_source = self._bound_softmin(self.log_q, False, w)
 
     def _bound_softmin(self, log_weights, to_target, w):
         """One direction of the pair as a closure (see the class docstring)."""
-        kernel, floor, route = self._linear_apply, self._floor, weakref.ref(self)
+        kernel, floor, route = self._linear_apply, self._floor, weakref.proxy(self)
         neg_k, k, shift = np.array(-self.k), np.array(self.k), np.empty(())
         asarray, minimum, isfinite = np.asarray, np.minimum.reduce, math.isfinite
         subtract, multiply, add, exp, log, divide = (np.subtract, np.multiply, np.add,
@@ -564,7 +556,7 @@ class LinearDomainApplicator(DenseApplicator):
                 out = log(out)
                 divide(out, k, out)
                 return subtract(out, shift, out)
-            return route()._redo(values, log_weights, to_target)
+            return route._redo(values, log_weights, to_target)
 
         return softmin
 

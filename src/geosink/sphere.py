@@ -231,12 +231,22 @@ class HarmonicCoeffs:
         return float(np.max(np.abs(self.data * (ms > ls))))
 
 
+def _check_degree(grid, L):
+    """Refuse a degree L above the grid's bandwidth W."""
+    if L > grid.W:
+        raise ValueError(f"degree {L} exceeds grid bandwidth {grid.W}")
+
+
 def _signed_tables(grid, L):
     """Legendre tables for both m signs: shape (L+1, 2L+1, n_theta).
 
     Column m + L corresponds to order m; negative orders pick up the
     parity factor (-1)^|m| relating Pbar_l^{-|m|} to Pbar_l^{|m|}.
+    Every analysis and synthesis takes its tables here, so this is where
+    a degree L above the grid's bandwidth is refused (_check_degree),
+    which the table slice would otherwise truncate silently.
     """
+    _check_degree(grid, L)
     table = grid.legendre_table()[: L + 1, : L + 1, :]
     ms = np.arange(-L, L + 1)
     signed = table[:, np.abs(ms), :].astype(float).copy()
@@ -247,9 +257,9 @@ def _signed_tables(grid, L):
 
 def _analysis(grid, values, L, ring_factor):
     """Shared core of sht_forward (quadrature weights) and sht_adjoint (ones)."""
+    signed, ms = _signed_tables(grid, L)
     vals = np.asarray(values).reshape(grid.n_theta, grid.n_phi)
     F = np.fft.fft(vals, axis=1)
-    signed, ms = _signed_tables(grid, L)
     cols = F[:, ms % grid.n_phi] * ring_factor[:, None]
     out = HarmonicCoeffs(L, np.einsum("lmt,tm->lm", signed, cols))
     return out
@@ -269,8 +279,6 @@ def sht_adjoint(grid, values, L=None):
     """Unweighted sums beta_lm = sum_nodes values conj(Y_lm), up to degree L."""
     if L is None:
         L = grid.W
-    if L > grid.W:
-        raise ValueError(f"degree {L} exceeds grid bandwidth {grid.W}")
     return _analysis(grid, values, L, np.ones(grid.n_theta))
 
 
@@ -281,8 +289,6 @@ def sht_inverse(grid, coeffs):
     the coefficients satisfy the conjugate symmetry of a real field.
     """
     L = coeffs.W
-    if L > grid.W:
-        raise ValueError(f"coefficient degree {L} exceeds grid bandwidth {grid.W}")
     signed, ms = _signed_tables(grid, L)
     rings = np.einsum("lmt,lm->tm", signed, coeffs.data)
     buf = np.zeros((grid.n_theta, grid.n_phi), dtype=complex)
@@ -317,8 +323,7 @@ def bandlimited_heat_apply(grid, t, values, W=None):
         raise ValueError(f"heat time must be nonnegative and finite, got t={t}")
     if W is None:
         W = grid.W
-    if W > grid.W:
-        raise ValueError(f"degree {W} exceeds grid bandwidth {grid.W}")
+    _check_degree(grid, W)
     coeffs = sht_forward(grid, values)
     mult = np.zeros(grid.W + 1)
     mult[: W + 1] = heat_multipliers(t, W)
@@ -607,14 +612,15 @@ class SphereSHTApplicator(LinearDomainApplicator):
     # processes each), against its floor of 1.35.
     def _bound_softmin(self, log_weights, to_target, w):
         """One direction of the pair, weights and log back in fresh arrays (w unused)."""
-        k, kernel, floor, route = self.k, self._linear_apply, self._floor, weakref.ref(self)
+        k, kernel, floor = self.k, self._linear_apply, self._floor
+        route = weakref.proxy(self)
 
         def softmin(values):
             values, shift = _finite_min(values)
             out = kernel(np.exp(-k * (values - shift) + log_weights))
             if out.min() > floor:
                 return np.log(out) / k - shift
-            return route()._redo(values, log_weights, to_target)
+            return route._redo(values, log_weights, to_target)
 
         return softmin
 

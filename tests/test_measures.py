@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from geosink.measures import (
     DensityField,
@@ -128,6 +128,49 @@ class TestLoadPointCloud:
         with pytest.raises(ValueError, match="mixed"):
             load_point_cloud(path)
 
+    @pytest.mark.parametrize(
+        "text, renormalize",
+        [("torus1 0.1 -0.5\ntorus1 0.6 -0.5\n", True),
+         ("torus1 0.1 -0.5\ntorus1 0.6 1.5\n", False)],
+        ids=["all-negative-renormalized", "mixed-signs-summing-to-one"],
+    )
+    def test_negative_weight_rejected(self, tmp_path, text, renormalize):
+        # divided by their total, all-negative weights turn positive, so only
+        # the loader's check, made before the division, refuses them
+        path = tmp_path / "neg.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{path}: negative weight$"):
+            load_point_cloud(path, renormalize=renormalize)
+
+    def test_file_without_records_rejected(self, tmp_path):
+        path = tmp_path / "empty.txt"
+        path.write_text("# comments only\n\n")
+        with pytest.raises(ValueError, match=f"^{path}: no records found$"):
+            load_point_cloud(path)
+
+    def test_inconsistent_coordinate_counts_rejected(self, tmp_path):
+        path = tmp_path / "dims.txt"
+        path.write_text("torus1 0.1\ntorus2 0.2 0.3\n")
+        with pytest.raises(ValueError, match=f"^{path}: inconsistent coordinate counts$"):
+            load_point_cloud(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("torus 0.1 0.2\n",
+          "line 1: bare 'torus' tag is ambiguous with 2 numbers; use torus1/torus2/torus3"),
+         ("torus1 0.1\nplane 0.1\n", "line 2: unknown chart tag 'plane'"),
+         ("torus1 0.1 0.2 0.3\n",
+          "line 1: expected 1 coordinates plus optional weight, got 3 numbers"),
+         ("torus1 0.1\ntorus1 abc\n", "line 2: could not convert string to float: 'abc'")],
+        ids=["bare-torus", "unknown-tag", "number-count", "non-numeric"],
+    )
+    def test_malformed_record_names_its_line(self, tmp_path, text, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            load_point_cloud(path)
+        assert str(info.value) == message
+
 
 class TestManifoldPoint:
     def test_torus_coords_wrap(self):
@@ -158,6 +201,15 @@ class TestCheckDensityProperty:
         assert out["min"] == -np.inf
         assert mu.weights.sum() == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("n, k", [(1, 32), (2, 8)])
+    def test_centers_whole_periods_apart_give_the_same_masses(self, rng, n, k):
+        mu = discretize_torus(" + ".join(f"cos(2*pi*x{i + 1})" for i in range(n)), k, n)
+        centers = rng.random((6, n))
+        want = check_density_property(mu, k, 2.0 / k, centers)["values"]
+        for periods in (-1.0, 2.0, 3.0):
+            got = check_density_property(mu, k, 2.0 / k, centers + periods)["values"]
+            assert_array_equal(got, want)
+
     def test_radius_covering_everything_gives_zero(self):
         mu = discretize_torus("cos(2*pi*x1)", 8, 1)
         out = check_density_property(
@@ -171,6 +223,12 @@ class TestDensityField:
         f = DensityField.torus_expression("1000*x1", 1)
         with pytest.raises(ValueError, match="magnitude"):
             f(np.array([[0.9]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_exponent_rejected(self, bad):
+        f = DensityField("torus", lambda coords: np.array([0.0, bad]))
+        with pytest.raises(ValueError, match="^density exponent evaluated to a non-finite"):
+            f(np.zeros((2, 1)))
 
     def test_constant_field(self):
         f = DensityField.constant("torus", 1.5)
@@ -248,6 +306,15 @@ class TestValidation:
             assert accepted == distinct, coords
             verdicts.add(accepted)
         assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("weights", [[-0.5, 1.5], [np.nan, 1.0], [np.inf, 0.0]])
+    def test_weights_must_be_finite_and_nonnegative(self, weights):
+        with pytest.raises(ValueError, match="^weights must be finite and nonnegative$"):
+            DiscreteMeasure("torus", [[0.1], [0.5]], weights)
+
+    def test_weights_must_sum_to_one(self):
+        with pytest.raises(ValueError, match="^weights must sum to 1 within 1e-12, got "):
+            DiscreteMeasure("torus", [[0.1], [0.5]], [0.5, 0.4])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_coordinates_rejected(self, bad):

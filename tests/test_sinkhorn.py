@@ -14,6 +14,7 @@ from geosink.parabolic import c_transform
 from geosink.measures import discretize_torus
 from geosink.sinkhorn import (
     DenseApplicator,
+    LinearDomainApplicator,
     NumericalAbortError,
     Potential,
     energy_diagnostics,
@@ -357,6 +358,43 @@ class TestBoundStep:
             assert ref() is None
         finally:
             gc.enable()
+
+
+class TestRouteBinding:
+    # a fast route's softmin pair is the instance's own two closures, with
+    # no forwarding method between a caller and them
+    @pytest.mark.parametrize("kind", ["torus-1d", "torus-2d", "sphere"])
+    def test_fast_route_owns_its_pair(self, kind):
+        kern = _fast_applicator(kind)
+        assert "softmin_to_target" in vars(kern) and "softmin_to_source" in vars(kern)
+
+    def test_the_fast_route_class_defines_no_pair(self):
+        names = {"softmin_to_target", "softmin_to_source", "_bound_to_target",
+                 "_bound_to_source"}
+        assert not names & vars(LinearDomainApplicator).keys()
+
+    def test_direct_lattice_route_takes_the_dense_pair(self):
+        p, q = _product_weights(16, 1)
+        kern = TorusLatticeApplicator(TorusGrid(1, 16), TorusKernelSpec("gaussian", 16),
+                                      p, q, mode="direct")
+        assert "softmin_to_target" not in vars(kern)
+        assert kern.softmin_to_target.__func__ is DenseApplicator.softmin_to_target
+        assert kern.softmin_to_source.__func__ is DenseApplicator.softmin_to_source
+
+    def test_a_redo_after_the_applicator_is_gone_raises(self):
+        # the pair holds its applicator through a weak proxy; a narrow heat
+        # kernel against a peaked potential makes the 2-D route redo
+        p = np.full(256, 1.0 / 256)
+        kern = TorusLatticeApplicator(TorusGrid(2, 16), TorusKernelSpec("heat", 16, 1e-3),
+                                      p, p, mode="fft")
+        u = np.full(256, 100.0)
+        u[0] = 0.0
+        apply = kern.softmin_to_target
+        apply(u)
+        assert kern.fallbacks == 1
+        del kern
+        with pytest.raises(ReferenceError):
+            apply(u)
 
 
 class _Injecting:

@@ -199,6 +199,11 @@ class TestShtInverse:
         assert_allclose(out.real, ref, atol=1e-13)
         assert np.abs(out.imag).max() < 1e-13
 
+    def test_degree_cap(self):
+        grid = SphericalGrid(4)
+        with pytest.raises(ValueError, match="^degree 6 exceeds grid bandwidth 4$"):
+            sht_inverse(grid, HarmonicCoeffs.zeros(6))
+
     def test_synthesis_then_analysis_identity(self):
         grid = SphericalGrid(10)
         field, coeffs = _random_bandlimited(grid, 10, seed=9)

@@ -10,8 +10,9 @@ plenty accurate at the sizes we run).
 Every measure, from a grid or a file, passes one validation: weights
 finite, nonnegative and summing to 1, coordinates finite, and points
 pairwise distinct under exact float equality (0.0 equals -0.0). The
-distinctness test is one lexicographic sort of the rows, O(N log N),
-then one comparison of neighbours.
+distinctness test is linear when the rows already strictly increase in
+lexicographic order, as lattice and sphere-grid points do, and one
+lexicographic sort of the rows, O(N log N), otherwise.
 
 Torus charts use coordinates in [0, 1)^n. Sphere charts use (phi, theta)
 with phi in [0, 2*pi) and theta strictly inside (0, pi); the grids used
@@ -126,9 +127,10 @@ def _chart_coords(chart, coords):
     elif chart == "sphere":
         if coords.shape[1] != 2:
             raise ValueError("sphere points are (phi, theta) pairs")
-        bad = np.flatnonzero(~((coords[:, 1] > 0.0) & (coords[:, 1] < np.pi)))
-        if bad.size:
-            raise ValueError(f"colatitude must lie in (0, pi), got {coords[bad[0], 1]}")
+        theta = coords[:, 1]
+        if not (theta.min() > 0.0 and theta.max() < np.pi):  # NaN fails too
+            bad = np.flatnonzero(~((theta > 0.0) & (theta < np.pi)))
+            raise ValueError(f"colatitude must lie in (0, pi), got {theta[bad[0]]}")
         columns, period = slice(0, 1), 2.0 * np.pi
     else:
         raise ValueError(f"unknown chart {chart!r}")
@@ -141,20 +143,56 @@ def _chart_coords(chart, coords):
     return coords
 
 
+def _rows_increase(coords, columns):
+    """True when each row is lexicographically greater than the one before,
+    columns compared in the given order under float < and ==."""
+    tied = np.ones(coords.shape[0] - 1, dtype=bool)  # equal in every column so far
+    for j in columns:
+        before, after = coords[:-1, j], coords[1:, j]
+        if (tied & ~(after >= before)).any():  # a smaller later row, or a NaN
+            return False
+        tied &= after == before
+    return not tied.any()
+
+
 def _has_repeated_row(coords):
     """True when two rows are equal in every column.
 
-    One lexicographic sort makes equal rows adjacent. Sorting and the
-    comparison both use float ==, so 0.0 matches -0.0 while rows one ulp
-    apart stay distinct.
+    Rows that strictly increase lexicographically, columns read first to
+    last (the order of TorusGrid.points) or last to first (the ring-major
+    SphericalGrid.angles), form a chain and so are pairwise distinct: that
+    test is O(N d). Any other input takes one lexicographic sort, which
+    makes equal rows adjacent, O(N log N). Both use float ==, so 0.0
+    matches -0.0 while rows one ulp apart stay distinct.
     """
+    d = coords.shape[1]
+    if coords.shape[0] < 2:
+        return False
+    if _rows_increase(coords, range(d)) or (
+        d > 1 and _rows_increase(coords, range(d - 1, -1, -1))
+    ):
+        return False
     # lexsort needs at least one key; rows without columns are all equal
-    rows = coords[np.lexsort(coords.T)] if coords.shape[1] else coords
+    rows = coords[np.lexsort(coords.T)] if d else coords
     return bool((rows[1:] == rows[:-1]).all(axis=1).any())
 
 
 class DiscreteMeasure:
-    """Weighted point cloud: chart tag, (N, d) coordinates, weights summing to 1."""
+    """Weighted point cloud: chart tag, (N, d) coordinates, weights summing to 1.
+
+    The constructor checks, in order, each in O(N d) vectorized work
+    unless said otherwise:
+    - one weight per point;
+    - weights finite and nonnegative;
+    - weights summing to 1 within 1e-12;
+    - coordinates finite;
+    - the chart's rule (_chart_coords): 1 to 3 torus coordinates or sphere
+      (phi, theta) pairs with theta in (0, pi); coordinates outside the
+      period are wrapped on a copy;
+    - points pairwise distinct (_has_repeated_row): linear for points in
+      lexicographic order, as every grid gives them, one sort otherwise.
+    Per-row masks are built only to word an error.
+    """
 
     def __init__(self, chart, coords, weights):
         coords = np.asarray(coords, dtype=float)
@@ -166,12 +204,11 @@ class DiscreteMeasure:
             raise ValueError("one weight per point required")
         if np.any(weights < 0) or not np.all(np.isfinite(weights)):
             raise ValueError("weights must be finite and nonnegative")
-        total = weights.sum()
+        total = float(weights.sum())
         if not np.isclose(total, 1.0, rtol=0.0, atol=1e-12):
             raise ValueError(f"weights must sum to 1 within 1e-12, got {total!r}")
-        finite = np.isfinite(coords).all(axis=1)
-        if not finite.all():
-            bad = np.flatnonzero(~finite)
+        if not np.isfinite(coords).all():
+            bad = np.flatnonzero(~np.isfinite(coords).all(axis=1))
             raise ValueError(
                 f"point coordinates must be finite; {bad.size} of "
                 f"{coords.shape[0]} points are not, the first is row "
@@ -311,7 +348,7 @@ def load_point_cloud(path, renormalize=False, ndim=None):
         # before the division: renormalized, all-negative weights turn positive
         if np.any(w < 0):
             raise ValueError(f"{path}: negative weight")
-        total = w.sum()
+        total = float(w.sum())
         if abs(total - 1.0) > 1e-6 and not renormalize:
             raise ValueError(
                 f"{path}: weights sum to {total!r}; pass renormalize to accept"

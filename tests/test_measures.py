@@ -1,5 +1,7 @@
 """Discretization, point-cloud files, and the ball-mass density check."""
 
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -117,7 +119,8 @@ class TestLoadPointCloud:
     def test_weight_sum_guard_and_renormalize(self, tmp_path):
         path = tmp_path / "off.txt"
         path.write_text("torus1 0.1 0.3\ntorus1 0.6 0.3\n")
-        with pytest.raises(ValueError, match="renormalize"):
+        message = f"{path}: weights sum to 0.6; pass renormalize to accept"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             load_point_cloud(path)
         mu = load_point_cloud(path, renormalize=True)
         assert_allclose(mu.weights, [0.5, 0.5])
@@ -290,13 +293,13 @@ class TestValidation:
 
     def test_distinctness_matches_a_set_of_rows(self, rng):
         # few distinct values per column, signed zeros among them, so about
-        # half the arrays repeat a row; Python tuples compare floats by ==
+        # half the arrays repeat a row; Python tuples compare floats by ==.
+        # Each array is also taken sorted with columns read first to last
+        # and last to first, the two orders that skip the sort.
         values = np.array([-0.0, 0.0, 0.25, 0.5, 0.5 + ULP])
-        verdicts = set()
-        for _ in range(300):
-            n, d = rng.integers(2, 7), rng.integers(1, 4)
-            coords = values[rng.integers(0, len(values), size=(n, d))]
-            distinct = len({tuple(row) for row in coords}) == n
+
+        def check(coords):
+            distinct = len({tuple(row) for row in coords}) == coords.shape[0]
             try:
                 _uniform(coords)
                 accepted = True
@@ -304,8 +307,36 @@ class TestValidation:
                 assert str(exc) == "points must be pairwise distinct"
                 accepted = False
             assert accepted == distinct, coords
-            verdicts.add(accepted)
+            return accepted
+
+        verdicts = set()
+        for _ in range(300):
+            n, d = rng.integers(2, 7), rng.integers(1, 4)
+            coords = values[rng.integers(0, len(values), size=(n, d))]
+            verdicts.add(check(coords))
+            for keys in (coords.T[::-1], coords.T):
+                verdicts.add(check(coords[np.lexsort(keys)]))
         assert verdicts == {True, False}
+        lattice = TorusGrid(2, 4).points()
+        adjacent = np.insert(lattice, 6, lattice[5], axis=0)
+        assert not check(adjacent)
+        assert not check(np.array([[0.25, -0.0], [0.25, 0.0], [0.5, 0.0]]))
+        assert not check(np.array([[-0.0, 0.25], [0.0, 0.25], [0.0, 0.5]]))
+
+    def test_grid_measures_never_sort(self, monkeypatch, rng):
+        def no_sort(keys):
+            raise AssertionError("lexsort called")
+
+        monkeypatch.setattr(np, "lexsort", no_sort)
+        for n in (1, 2, 3):
+            discretize_torus("0", 5, n)
+        for W in (16, 64):
+            discretize_sphere("0", SphericalGrid(W))
+        for chart, points in [("torus", TorusGrid(2, 5).points()),
+                              ("sphere", SphericalGrid(16).angles())]:
+            shuffled = points[rng.permutation(len(points))]
+            with pytest.raises(AssertionError, match="lexsort called"):
+                DiscreteMeasure(chart, shuffled, np.full(len(points), 1.0 / len(points)))
 
     @pytest.mark.parametrize("weights", [[-0.5, 1.5], [np.nan, 1.0], [np.inf, 0.0]])
     def test_weights_must_be_finite_and_nonnegative(self, weights):
@@ -313,7 +344,8 @@ class TestValidation:
             DiscreteMeasure("torus", [[0.1], [0.5]], weights)
 
     def test_weights_must_sum_to_one(self):
-        with pytest.raises(ValueError, match="^weights must sum to 1 within 1e-12, got "):
+        with pytest.raises(ValueError,
+                           match=r"^weights must sum to 1 within 1e-12, got 0\.9$"):
             DiscreteMeasure("torus", [[0.1], [0.5]], [0.5, 0.4])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -53,7 +53,11 @@ class ManifoldPoint:
     coords: tuple
 
     def __post_init__(self):
-        coords = _chart_coords(self.chart, np.array([self.coords], dtype=float))
+        coords = np.array([self.coords], dtype=float)
+        if not np.isfinite(coords).all():  # before the chart wraps a NaN or inf
+            raise ValueError(
+                f"point coordinates must be finite, got {coords[0].tolist()}")
+        coords = _chart_coords(self.chart, coords)
         object.__setattr__(self, "coords", tuple(coords[0].tolist()))
 
     def to_unit_vector(self):

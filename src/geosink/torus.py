@@ -25,7 +25,12 @@ outputs of a peaked potential.
 Kernels: the Gaussian profile exp(-k c) for sharpness k, or the periodized
 heat kernel at time t (an image sum over integer shifts of the displacement
 reduced to [-1/2, 1/2)), used through the cost -log(K_t)/k so both fit the
-same exp(-k cost) shape.
+same exp(-k cost) shape. Both are products over the axes, so their log is
+a sum of per-axis log terms, and TorusKernelSpec evaluates it from one
+displacement array per axis that broadcast together. The lattice profile
+passes the k-point axis, laid along each axis, and so evaluates k n terms
+for its k^n entries; a point-cloud kernel passes the M x N differences of
+one coordinate at a time, so no M x N x n array is built.
 """
 from __future__ import annotations
 
@@ -135,11 +140,24 @@ class TorusGrid:
 
 def torus_cost(x, y):
     """Half squared periodic distance between point arrays of shape (..., n)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    d = np.abs(x - y) % 1.0
-    d = np.minimum(d, 1.0 - d)
-    return 0.5 * np.sum(d * d, axis=-1)
+    delta = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
+    return _half_squared_distance(np.moveaxis(delta, -1, 0))
+
+
+def _half_squared_distance(deltas):
+    """Half squared periodic distance from per-axis displacements.
+
+    deltas yields one array per axis, and they broadcast together. Each
+    axis's squared wrapped distance is added from 0 in axis order, then
+    the sum is halved: the order np.sum takes over a last axis of length
+    n < 8. Only the running sum and one axis's terms are alive at a time.
+    """
+    total = 0
+    for d in deltas:
+        d = np.abs(d) % 1.0
+        d = np.minimum(d, 1.0 - d)
+        total = total + d * d
+    return 0.5 * total
 
 
 def torus_cost_matrix(xs, ys):
@@ -158,16 +176,16 @@ def torus_heat_kernel(delta, t, images=None):
     as TorusKernelSpec.log_kernel does, so the kernel is periodic in delta.
     The default images=None takes heat_image_cutoff(t), which converges
     to rounding on that window; the spectral sum in the tests provides
-    the cross-check.
+    the cross-check. t must satisfy 0 < t < inf. The log is the sum of
+    per-axis log image sums, as in TorusKernelSpec.
     """
-    if t <= 0:
-        raise ValueError(f"heat time must be positive, got t={t}")
+    t = kernel_heat_time("heat", None, t)  # refuses t unless 0 < t < inf
     delta = np.asarray(delta, dtype=float)
     n = delta.shape[-1]
     if images is None:
         images = heat_image_cutoff(t)
-    log_val = _log_heat_image_sum(_wrap(delta), t, images, n)
-    return np.exp(log_val)
+    wrapped = (_wrap(d) for d in np.moveaxis(delta, -1, 0))
+    return np.exp(_log_heat_image_sum(wrapped, t, images, n))
 
 
 def _wrap(delta):
@@ -175,13 +193,16 @@ def _wrap(delta):
     return delta - np.floor(delta + 0.5)
 
 
-def _log_heat_image_sum(delta, t, images, n):
-    """log of the image sum, computed stably for small t.
+def _log_heat_image_sum(deltas, t, images, n):
+    """log of the image sum over n axes, computed stably for small t.
 
     The cube of image offsets factors over the axes, so the log is a sum
-    of 1-D image sums and memory stays linear in the cutoff.
+    of 1-D image sums and memory stays linear in the cutoff. deltas yields
+    one minimum-image displacement array per axis, and they broadcast
+    together; the 1-D logs are added from 0 in axis order, then the
+    normalization n/2 log(4 pi t) is subtracted.
     """
-    log_sum = sum(_log_axis_images(delta[..., a], t, images) for a in range(n))
+    log_sum = sum(_log_axis_images(d, t, images) for d in deltas)
     return log_sum - 0.5 * n * np.log(4.0 * np.pi * t)
 
 
@@ -226,6 +247,12 @@ class TorusKernelSpec:
     normalized by its value at zero displacement so the profile lies in
     (0, 1]. The normalization adds a constant to the effective cost, which
     the scaling iteration does not see.
+
+    Both kernels factor over the axes, so the log kernel is a sum of
+    per-axis log terms (_axis_log_kernel). Each caller feeds it one
+    displacement array per axis: log_kernel the columns of its delta,
+    log_cost_profile the k-point axis laid along each axis, and
+    torus_log_kernel the M x N differences of one coordinate.
     """
 
     kind: str
@@ -248,36 +275,63 @@ class TorusKernelSpec:
         """Image shells the heat kernel sums: heat_image_cutoff(heat_time)."""
         return heat_image_cutoff(self.heat_time)
 
+    def _axis_log_kernel(self, deltas, n):
+        """-k * cost from per-axis displacements: the normalized log kernel.
+
+        deltas yields n arrays, the displacements along axes 0 to n - 1,
+        which broadcast together to the result's shape; it is read once,
+        one axis at a time. Gaussian: the cost is the half squared periodic
+        distance, each axis's squared wrapped distance added in axis order,
+        then scaled by 0.5 and by -k. Heat: each axis's log image sum over
+        its minimum-image displacement, added from 0 in axis order, less
+        the normalization and less the same sum at zero displacement, so
+        the kernel lies in (0, 1].
+        """
+        if self.kind == "gaussian":
+            return -self.k * _half_squared_distance(deltas)
+        t, images = self.heat_time, self.image_cutoff
+        return (_log_heat_image_sum((_wrap(d) for d in deltas), t, images, n)
+                - _log_heat_image_sum(np.zeros(n), t, images, n))
+
     def log_kernel(self, delta):
         """-k * cost at displacements of shape (..., n): the normalized log kernel.
 
-        Gaussian: the cost is the half squared periodic distance. Heat: the
-        log of the image sum over the minimum-image displacement, less its
-        value at zero displacement, so the kernel lies in (0, 1].
+        The sum of per-axis log terms over the columns delta[..., a]; see
+        _axis_log_kernel.
         """
         delta = np.asarray(delta, dtype=float)
-        if self.kind == "gaussian":
-            return -self.k * torus_cost(delta, 0.0)
-        n, t, images = delta.shape[-1], self.heat_time, self.image_cutoff
-        return (_log_heat_image_sum(_wrap(delta), t, images, n)
-                - _log_heat_image_sum(np.zeros(n), t, images, n))
+        return self._axis_log_kernel(np.moveaxis(delta, -1, 0), delta.shape[-1])
 
     def log_cost_profile(self, grid):
-        """log_kernel on the displacement lattice, shape (k,)*n."""
+        """log_kernel on the displacement lattice, shape (k,)*n.
+
+        Axis a's displacements are grid.axis laid along dimension a, and
+        broadcasting the per-axis terms forms the profile: k n kernel terms
+        and one k^n sum, with no k^n x n displacement array.
+        """
         if grid.k != self.k:
             raise ValueError(
                 f"grid resolution {grid.k} does not match kernel sharpness {self.k}"
             )
-        return self.log_kernel(grid.displacements())
+        n = grid.n
+        deltas = (grid.axis.reshape((-1,) + (1,) * (n - 1 - a)) for a in range(n))
+        return self._axis_log_kernel(deltas, n)
 
 
 def torus_log_kernel(xs, ys, spec):
     """Log-kernel matrix spec.log_kernel(xs_i - ys_j) between torus point sets.
 
-    Dense; DenseApplicator.from_log_kernel calls it only under the cap.
+    Axis a feeds the per-axis sum the M x N differences of coordinate a,
+    one axis at a time, so no M x N x n array is built. Dense;
+    DenseApplicator.from_log_kernel calls it only under the cap.
     """
     xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
-    return spec.log_kernel(xs[:, None, :] - ys[None, :, :])
+    n = xs.shape[-1]
+    if ys.shape[-1] != n:
+        raise ValueError(
+            f"point sets differ in dimension: {n} and {ys.shape[-1]} coordinates")
+    deltas = (xs[:, None, a] - ys[None, :, a] for a in range(n))
+    return spec._axis_log_kernel(deltas, n)
 
 
 def _circulant_log_kernel(log_profile):

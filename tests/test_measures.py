@@ -184,6 +184,18 @@ class TestManifoldPoint:
         pt = ManifoldPoint("sphere", (0.0, np.pi / 2))
         assert_allclose(pt.to_unit_vector(), [1.0, 0.0, 0.0], atol=1e-15)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("chart, coords", [
+        ("torus", (None,)), ("torus", (None, 0.5)), ("torus", (0.25, 0.5, None)),
+        ("sphere", (None, 1.5)), ("sphere", (0.5, None)),
+    ], ids=["torus-1d", "torus-x1", "torus-x3", "sphere-phi", "sphere-theta"])
+    def test_non_finite_coordinates_rejected(self, chart, coords, bad):
+        # refused before the chart rule, whose wrap would turn inf into NaN
+        coords = tuple(bad if c is None else c for c in coords)
+        with pytest.raises(ValueError, match=r"^point coordinates must be finite, got \["):
+            ManifoldPoint(chart, coords)
+
 
 class TestCheckDensityProperty:
     def test_uniform_lattice_ball_masses_by_enumeration(self):

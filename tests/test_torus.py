@@ -22,6 +22,7 @@ from geosink.torus import (
     TorusKernelSpec,
     TorusLatticeApplicator,
     _fft_convolve,
+    _log_axis_images,
     _rfft,
     fft_apply,
     torus_cost,
@@ -192,15 +193,72 @@ class TestKernelSpec:
         ref = axis[:, None, None] + axis[None, :, None] + axis[None, None, :]
         assert_allclose(prof, ref, atol=1e-13)
 
-    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("kind", ["gaussian", "heat"])
     def test_cloud_kernel_is_the_lattice_profile(self, kind, n):
         # one kernel definition: a cloud on the lattice sees the profile bitwise
-        grid = TorusGrid(n, 12)
-        spec = TorusKernelSpec(kind, 12)
+        for k in (12, 7):
+            grid = TorusGrid(n, k)
+            spec = TorusKernelSpec(kind, k)
+            pts = grid.points()
+            cloud = torus_log_kernel(pts, pts[:1], spec)[:, 0]
+            assert np.array_equal(cloud, spec.log_cost_profile(grid).ravel())
+
+    @pytest.mark.parametrize("n, k", [(1, 64), (1, 9), (2, 12), (2, 9), (3, 8), (3, 7)])
+    @pytest.mark.parametrize("kind, t", [("gaussian", None), ("heat", None), ("heat", 0.3)])
+    def test_per_axis_kernel_is_the_lattice_formula(self, kind, t, n, k):
+        # the full-lattice formulas the per-axis sums replaced, inline: every
+        # kernel entry point must equal them bit for bit, signed zeros too
+        grid = TorusGrid(n, k)
+        spec = TorusKernelSpec(kind, k, t)
+        delta = grid.displacements()
+        if kind == "gaussian":
+            d = np.abs(delta - 0.0) % 1.0
+            d = np.minimum(d, 1.0 - d)
+            ref = -k * (0.5 * np.sum(d * d, axis=-1))
+        else:
+            t, images = spec.heat_time, spec.image_cutoff
+            assert t != 0.3 or images > 3
+
+            def image_sum(delta):
+                log_sum = sum(_log_axis_images(delta[..., a], t, images)
+                              for a in range(n))
+                return log_sum - 0.5 * n * np.log(4.0 * np.pi * t)
+
+            wrapped = image_sum(delta - np.floor(delta + 0.5))
+            ref = wrapped - image_sum(np.zeros(n))
+            assert _same_bits(torus_heat_kernel(delta, t), np.exp(wrapped))
+        assert ref.shape == grid.shape
+        assert _same_bits(spec.log_cost_profile(grid), ref)
+        assert _same_bits(spec.log_kernel(delta), ref)
         pts = grid.points()
-        cloud = torus_log_kernel(pts, pts[:1], spec)[:, 0]
-        assert np.array_equal(cloud, spec.log_cost_profile(grid).ravel())
+        cloud = torus_log_kernel(pts, pts, spec)
+        assert _same_bits(cloud[:, 0], ref.ravel())
+        assert _same_bits(cloud, spec.log_kernel(pts[:, None, :] - pts[None, :, :]))
+
+    def test_kernel_construction_never_builds_the_displacement_lattice(
+            self, monkeypatch):
+        # the profile costs k n kernel terms, not a k^n x n lattice
+        def no_lattice(grid):
+            raise AssertionError("displacements called")
+
+        monkeypatch.setattr(TorusGrid, "displacements", no_lattice)
+        for n, k in ((2, 12), (3, 6)):
+            grid = TorusGrid(n, k)
+            weights = np.full(grid.size, 1.0 / grid.size)
+            for kind in ("gaussian", "heat"):
+                spec = TorusKernelSpec(kind, k)
+                assert spec.log_cost_profile(grid).shape == grid.shape
+                for mode in ("fft", "direct"):
+                    app = TorusLatticeApplicator(grid, spec, weights, weights, mode=mode)
+                    assert np.isfinite(app.softmin_to_target(np.zeros(grid.size))).all()
+        with pytest.raises(AssertionError, match="displacements called"):
+            TorusGrid(2, 4).points()
+
+    def test_cloud_dimension_mismatch_rejected(self):
+        spec = TorusKernelSpec("gaussian", 8)
+        with pytest.raises(ValueError, match="differ in dimension: 2 and 1"):
+            torus_log_kernel(np.zeros((3, 2)), np.zeros((4, 1)), spec)
 
     def test_grid_mismatch_rejected(self):
         with pytest.raises(ValueError, match="does not match"):
@@ -212,12 +270,23 @@ class TestKernelSpec:
 
     @pytest.mark.parametrize("t", [0.0, -1.0, np.nan, np.inf])
     def test_heat_time_must_be_finite_and_positive(self, t):
-        with pytest.raises(ValueError, match="heat time t must be finite and positive"):
+        message = "heat time t must be finite and positive"
+        with pytest.raises(ValueError, match=message):
             TorusKernelSpec("heat", 8, t=t)
+        # the bare image sum takes the same rule, with or without a cutoff
+        for images in (None, 3):
+            with pytest.raises(ValueError, match=message):
+                torus_heat_kernel(np.zeros((2, 1)), t, images=images)
 
     def test_gaussian_refuses_t(self):
         with pytest.raises(ValueError, match="t applies to the heat kernel only"):
             TorusKernelSpec("gaussian", 8, t=0.5)
+
+
+def _same_bits(a, b):
+    """Equal shapes and equal float64 bit patterns, so -0.0 differs from 0.0."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 def _direct_softmin(grid, spec, values, weights):

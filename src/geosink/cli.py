@@ -15,7 +15,9 @@ Exit codes: 0 success, 1 diagnostic suite failure, 2 config error,
 3 numerical abort (a diagnostic dump is written next to the artifacts).
 
 Heavy imports happen inside command bodies, after --threads has had a
-chance to pin the BLAS/OpenMP pool sizes.
+chance to pin the BLAS/OpenMP pool sizes. `transport torus` also takes
+--k and --schedule-A, which override the config's k and A for parameter
+sweeps.
 """
 
 from __future__ import annotations
@@ -92,11 +94,7 @@ _RISING = ("a list of at least two strictly increasing integers",
 _SIZES = ("a list of integers with at least two distinct values",
           lambda value: _list_of(_is_int)(value) and len(set(value)) > 1)
 
-# the JSON type each config key takes, across every command's schema: an
-# integer key takes integers only, a real key finite integers or floats (not
-# the NaN and Infinity that Python's parser lets through), and a bool is
-# never a number. null is allowed where the schema default is null or
-# derived, and on tol, where it runs a fixed number of steps.
+# the JSON type each config key takes, across every command's schema (see _setup)
 _KEY_TYPES = {
     "manifold": _TEXT, "f": _TEXT, "g": _TEXT, "source_cloud": _TEXT,
     "target_cloud": _TEXT, "backend": _TEXT, "kernel": _TEXT,
@@ -115,9 +113,19 @@ def _setup(config_path, schema, command, threads, out_path, **overrides):
 
     Pins the thread pools, rejects unknown keys, applies the schema's
     defaults and then the CLI overrides that were given, and checks each
-    value's JSON type and the manifold. A callable default is derived last
-    from the resolved config (the step cap, the sphere bandwidth), so the
-    summary echoes its value.
+    value's JSON type (_KEY_TYPES) and the manifold. A callable default is
+    derived last from the resolved config (the step cap, the sphere
+    bandwidth), so the summary echoes its value.
+
+    Each key takes one JSON type: an integer key (n, k, W, m_max, k_grid,
+    records, seed) takes integers only, so "k": 64.0 is refused; a real
+    key (tol, t, T, dt) a finite integer or float, not the NaN and
+    Infinity that Python's parser lets through; A and radius a positive
+    finite number; and a bool is never a number. The diagnose size lists
+    take at least two values (ks strictly increasing, torus_sizes and
+    sphere_bandwidths not all equal). null is allowed where the schema
+    default is null or derived, and on tol, where it runs m_max steps. A
+    value of the wrong type is a ConfigError that names its key.
     """
     _set_threads(threads)
     cfg = _load_config(config_path) if config_path else {}
@@ -173,7 +181,12 @@ def _write_csv(path, header, rows):
 
 
 def _environment():
-    """Library versions and thread settings in effect, for summary.json."""
+    """Library versions and thread settings in effect, for summary.json.
+
+    The python, numpy and scipy versions, the thread variables in effect
+    after --threads, the CPU affinity count, and blas_threads (None when
+    it cannot be read).
+    """
     import platform
 
     import numpy as np
@@ -241,9 +254,12 @@ def _solve_and_report(cfg, out, coord_header, applicator, xs, ys, extras=None):
     """Solve to cfg's stop rule and write what every Sinkhorn command reports.
 
     Writes potentials.csv (potentials_target.csv too when the supports
-    differ), trace.csv and summary.json, and echoes one line. `extras`, if
-    given, takes the normalized source potential u, writes its own
-    artifacts and returns further summary fields.
+    differ), trace.csv (one column per TraceRecord field, in declaration
+    order, one row per step) and summary.json, and echoes one line. e_row
+    and e_col are the last step's, the last row of trace.csv, so a solve of
+    m steps makes exactly 2m + 1 kernel applications and none after it.
+    `extras`, if given, takes the normalized source potential u, writes its
+    own artifacts and returns further summary fields.
     """
     import numpy as np
 
@@ -328,8 +344,10 @@ def _build_applicator(cfg, renormalize, kind):
 
     Two sampled sides run the grid route the backend names; a cloud on
     either side runs the dense route between the point sets, on the direct
-    backend only, and builds no grid for itself. An antenna config (no
-    manifold, backend, cloud or t key) runs the sphere's SHT route.
+    backend only, at most DENSE_POINT_CAP points per side, and builds no
+    grid for itself, so a sphere run of two clouds may take a W (the heat
+    kernel's degree) past the grid's cap. An antenna config (no manifold,
+    backend, cloud or t key) runs the sphere's SHT route.
     """
     from . import measures, sphere, torus
     from .sinkhorn import DenseApplicator
@@ -851,6 +869,14 @@ def _suite_sht(cfg):
 
 
 def _suite_bench(cfg):
+    """Apply-time slopes, the 1-D route's apply times, and two 1-D solves.
+
+    torus and sphere: bench_torus_apply and bench_sphere_apply over the
+    config's sizes, with their log-log slopes checked against [1.0, 1.3]
+    and [1.35, 1.7]. torus_route: bench_torus_route at k = 512 to 4096,
+    with its slope and no bound. torus_solves: bench_torus_solves at
+    k = 256 and 1024; a solve that stops on anything but tol fails.
+    """
     torus_pairs = bench_torus_apply(cfg["torus_sizes"])
     sphere_pairs = bench_sphere_apply(cfg["sphere_bandwidths"])
     torus_route = bench_torus_route([512, 1024, 2048, 4096])

@@ -1,14 +1,18 @@
 """Tiny arithmetic expression language for density definitions.
 
 Configs describe log-densities as strings such as
-``"0.3*cos(2*pi*x1) + 0.1*sin(4*pi*x2)"``: decimal numbers, ``+ - * /``,
-powers (``**`` or ``^``, right associative), unary minus and plus,
-parentheses, sin/cos/exp of one argument, the constants pi and e, and
-the variable names the caller whitelists. Python's own parser reads the
-text (``ast.parse`` in eval mode); one walk over the tree accepts only
-those nodes and builds a closure that evaluates on numpy arrays. Nothing
-is evaluated at parse time, no ``eval``, ``exec`` or ``compile`` runs on
-the text, and there is no attribute access.
+``"0.3*cos(2*pi*x1) + 0.1*sin(4*pi*x2)"``: decimal numbers (``2``, ``.5``,
+``5.``, ``1E-2``), ``+ - * /``, powers (``**`` or ``^``, right
+associative, so ``2^3^2`` is 512 and ``-x1^2`` is ``-(x1^2)``), unary
+minus and plus, parentheses, sin/cos/exp of one argument, the constants
+pi and e, and the variable names the caller whitelists. Whitespace and
+newlines are free. Python's own parser reads the text (``ast.parse`` in
+eval mode); one walk over the tree accepts only those nodes and builds a
+closure that evaluates on numpy arrays. Anything else raises
+ExpressionError: attributes, subscripts, comparisons, ``//``, ``%``,
+keywords, hex or underscored numbers, integers with leading zeros such as
+``05``, comments, non-ASCII text. Nothing is evaluated at parse time, and
+no ``eval``, ``exec`` or ``compile`` runs on the text.
 """
 
 from __future__ import annotations

@@ -47,7 +47,11 @@ EXP_BOUND = 700.0
 
 @dataclass(frozen=True)
 class ManifoldPoint:
-    """A single point, tagged by chart: "torus" (n coords) or "sphere" (phi, theta)."""
+    """A single point, tagged by chart: "torus" (n coords) or "sphere" (phi, theta).
+
+    Refuses a non-finite coordinate, then applies the chart rule
+    (_chart_coords), as DiscreteMeasure does.
+    """
 
     chart: str
     coords: tuple
@@ -123,7 +127,13 @@ class DensityField:
 
 def _chart_coords(chart, coords):
     """coords (N, d) as a chart takes them: 1 to 3 torus coordinates modulo 1,
-    or sphere (phi, theta) pairs, phi modulo 2 pi and theta refused outside (0, pi)."""
+    or sphere (phi, theta) pairs, phi modulo 2 pi and theta refused outside (0, pi).
+
+    So 0.5 and 1.5 are one torus point, and a tiny negative coordinate
+    whose remainder rounds up to the period is 0. Only coordinates outside
+    their range are rewritten, on a copy, so grid measures keep theirs bit
+    for bit.
+    """
     if chart == "torus":
         if not 1 <= coords.shape[1] <= 3:
             raise ValueError("torus points have 1 to 3 coordinates")

@@ -342,6 +342,8 @@ class _Stepper:
     def __init__(self, forcing, u, dx):
         if u.ndim not in (1, 2):
             raise ValueError("the parabolic solver supports n in {1, 2}")
+        if u.ndim == 2 and u.shape[0] != u.shape[1]:
+            raise ValueError(f"the parabolic solver needs a square 2-D u, got shape {u.shape}")
         n, N = u.ndim, u.shape[0]
         self.ext = ext = np.pad(np.ascontiguousarray(u, dtype=float), 1, mode="wrap")
         self.u = ext[(slice(1, -1),) * n]

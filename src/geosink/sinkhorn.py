@@ -47,7 +47,6 @@ import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 __all__ = [
     "NumericalAbortError",
@@ -226,7 +225,7 @@ def run_until(state, kern, tol, A=2.0, m_max=None):
     """
     if m_max is None:
         m_max = m_max_schedule(float(kern.k), A)
-    elif isinstance(m_max, bool) or not isinstance(m_max, (int, np.integer)) or m_max < 1:
+    elif not _is_integer(m_max) or m_max < 1:
         raise ValueError(f"m_max must be None or an integer >= 1, got {m_max!r}")
     if tol is not None and np.isnan(tol):
         raise ValueError("tol must not be NaN")
@@ -387,6 +386,11 @@ def normalized_potentials(state):
     return state.u.values - shift, state.v.values + shift
 
 
+def _is_integer(value):
+    """Whether value is a Python or numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_dense_cap(points):
     """Refuse a dense route over more than DENSE_POINT_CAP points, before it allocates."""
     if points > DENSE_POINT_CAP:
@@ -414,7 +418,9 @@ class DenseApplicator:
     points before allocating anything. It is the reference the fast
     routes are certified against, and each fast route is one of these
     whose matrix waits for its first exact use. Its softmin pair serves
-    every route: a potential whose minimum is not finite raises ValueError.
+    every route: a potential whose minimum is not finite (a NaN or -inf
+    entry, or every entry +inf) raises ValueError("potential contains
+    non-finite entries"); +inf entries above a finite minimum are allowed.
     """
 
     def __init__(self, k, p, q, cost):
@@ -462,7 +468,15 @@ class DenseApplicator:
         return self.p.size
 
     def _softmin(self, values, log_weights, to_target):
-        """The exact log-sum-exp, building the matrix first if need be."""
+        """The exact log-sum-exp, building the matrix first if need be.
+
+        Each row block is kernel rows plus shifted log weights, formed in
+        one buffer this call reuses across its blocks. Each row's largest
+        term is taken out, the rest are shifted by it, exponentiated and
+        summed, and the row's value is log1p(sum) plus that term: the
+        arithmetic of scipy.special.logsumexp, bitwise unless the maximum
+        is tied. A row whose maximum is -inf (every term vanishes) gives -inf.
+        """
         if self._log_kernel is not None:
             self._build_dense()
         rows = self._to_target if to_target else self._to_source
@@ -470,9 +484,20 @@ class DenseApplicator:
         n_out, n_in = rows.shape
         out = np.empty(n_out)
         block = max(1, min(n_out, (1 << 22) // n_in))
+        buf = np.empty((block, n_in))
         for start in range(0, n_out, block):
-            out[start : start + block] = logsumexp(rows[start : start + block] + s, axis=1)
-        return out / self.k
+            terms = np.add(rows[start : start + block], s, out=buf[: n_out - start])
+            r = np.arange(len(terms))
+            top = terms.argmax(axis=1)
+            peak = terms[r, top]
+            terms[r, top] = -np.inf
+            terms -= np.where(peak == -np.inf, 0.0, peak)[:, None]
+            # exp is exactly 0 below -746, and several times faster from -inf
+            np.copyto(terms, -np.inf, where=terms < -746.0)
+            np.exp(terms, out=terms)
+            out[start : start + block] = np.log1p(terms.sum(axis=1)) + peak
+        out /= self.k
+        return out
 
     def softmin_to_target(self, u):
         """v(y_j) = log(sum_i exp(-k(c_ij + u_i)) p_i) / k."""

@@ -42,7 +42,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss, legvander, legval
 
 from .sinkhorn import (DenseApplicator, LinearDomainApplicator, _check_dense_cap,
-                       _finite_min, kernel_heat_time)
+                       _finite_min, _is_integer, kernel_heat_time)
 
 __all__ = [
     "SphericalGrid",
@@ -141,6 +141,8 @@ class SphericalGrid:
     """
 
     def __init__(self, W):
+        if not _is_integer(W):
+            raise ValueError(f"bandwidth W must be an integer, got {W}")
         if W < 1:
             raise ValueError(f"bandwidth must be >= 1, got {W}")
         if W > MAX_BANDWIDTH:
@@ -500,8 +502,9 @@ def reflector_map(grid, h):
 class SphereKernelSpec:
     """Kernel choice for a sphere instance.
 
-    kind "heat": degree-W truncated heat kernel at time t (default 2/k).
-    kind "antenna": 2^k (1 - x.y)^k, band-limited at degree k; takes no t.
+    kind "heat": degree-W truncated heat kernel at time t (default 2/k),
+    with 0 < t < inf. kind "antenna": 2^k (1 - x.y)^k, band-limited at
+    degree k; takes no t.
     log_kernel is the one definition of each kernel's entries.
     """
 

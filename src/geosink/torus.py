@@ -17,7 +17,9 @@ circulant product out[j] = sum_i profile[(j - i) mod k] w_i. Each output
 of that product is a sum of k positive terms, so its relative error is at
 most about k * eps (Higham, Accuracy and Stability of Numerical
 Algorithms, 2nd ed., sec. 4.2) whatever range the outputs span; against
-extended precision it stays below 3e-15 for k from 2 to 8192. An FFT
+extended precision it stays below 3e-15 for k from 2 to 8192, and on the
+tests' cosine potentials it agrees with the dense route to about one ulp
+(k |gap| at most 1.2e-13 for k up to 1024). An FFT
 would instead put an absolute error of order eps * log2(k) * ||w||_2 *
 sum(profile) into every output (ibid., sec. 24.1), swamping the small
 outputs of a peaked potential.
@@ -41,7 +43,7 @@ from functools import partial
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .sinkhorn import DENSE_POINT_CAP, LinearDomainApplicator, kernel_heat_time
+from .sinkhorn import DENSE_POINT_CAP, LinearDomainApplicator, _is_integer, kernel_heat_time
 
 try:  # the gufuncs that np.fft.rfft and np.fft.irfft call (numpy 2)
     from numpy.fft import _pocketfft_umath as _pocketfft
@@ -92,6 +94,11 @@ class TorusGrid:
     k: int
 
     def __post_init__(self):
+        if not (_is_integer(self.n) and _is_integer(self.k)):
+            raise ValueError(f"torus grid sizes must be integers, got n={self.n}, k={self.k}")
+        # Python ints, so k ** n cannot wrap around as a fixed-width numpy int would
+        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "k", int(self.k))
         if self.n not in (1, 2, 3):
             raise ValueError(f"torus dimension must be 1, 2 or 3, got {self.n}")
         if self.k < 2:
@@ -424,7 +431,10 @@ def _circulant_product(log_profile):
 
     Each BLAS product takes at least two windows (one alone would go to
     GEMV) and, up to k = 4096, at most _GEMM_SERIAL multiply-adds, so it
-    runs on one thread whatever the size of the BLAS pool.
+    runs on one thread whatever the size of the BLAS pool. An apply costs
+    O(k^2) arithmetic at BLAS-3 speed. Past DENSE_POINT_CAP nothing bounds
+    that cost: the head alone takes 256 k bytes (2.6 GB at the lattice cap
+    of 10^7 points).
     """
     k = log_profile.size
     doubled = np.empty(2 * k)
@@ -482,14 +492,15 @@ class TorusLatticeApplicator(LinearDomainApplicator):
     construction (see LinearDomainApplicator for the shift, the trust
     check and the redo, counted in .fallbacks, or abort past
     DENSE_POINT_CAP points) over one of two kernels. In 2-D and 3-D it is
-    the FFT convolution; the pair forms its weights in a lattice-sized
-    buffer and the convolution runs in a spectrum and an output the
-    applicator keeps. In 1-D, under the same name, it is the exact
-    circulant product (_circulant_product), trusted above
-    k * tiny / 1e-13; the pair forms its weights in the first half of the
-    product's doubled buffer, and the product's head and block schedule
-    are built at the first application, so construction costs no more
-    than the direct mode's.
+    the FFT convolution, not certified: its floor is 0, so it falls back
+    only on a nonpositive output. The pair forms its weights in a
+    lattice-sized buffer and the convolution runs in a spectrum and an
+    output the applicator keeps. In 1-D, under the same name (kept for
+    compatibility), it is the exact circulant product (_circulant_product),
+    trusted above k * tiny / 1e-13; the pair forms its weights in the first
+    half of the product's doubled buffer, and the product's head and block
+    schedule are built at the first application, so construction costs no
+    more than the direct mode's.
     """
 
     def __init__(self, grid, spec, p, q, mode="direct"):

@@ -22,6 +22,7 @@ from geosink.parabolic import (
 )
 from geosink.sinkhorn import (
     NumericalAbortError,
+    hilbert_distance,
     initial_state,
     normalized_potentials,
     run_until,
@@ -151,6 +152,12 @@ class TestCheckQuasiconvex:
     def test_dimension_guard(self):
         with pytest.raises(ValueError, match="n in"):
             check_quasiconvex(np.zeros((4, 4, 4)))
+
+    def test_non_square_refused(self):
+        # the stencil's neighbour offsets assume N x N; an 8 x 12 array
+        # used to give a wrong min_eig
+        with pytest.raises(ValueError, match=r"square 2-D u, got shape \(8, 12\)"):
+            check_quasiconvex(np.zeros((8, 12)))
 
 
 def _fresh_state(k):
@@ -477,6 +484,11 @@ class TestFusedStepper:
         with pytest.raises(ValueError, match="n in"):
             parabolic_step(state, np.zeros(64), np.zeros(64), grid)
 
+    def test_non_square_rejected(self):
+        state = ParabolicState(u=np.zeros((8, 12)), t=0.0, dx=0.125, dt=1e-4)
+        with pytest.raises(ValueError, match=r"square 2-D u, got shape \(8, 12\)"):
+            parabolic_step(state, "0.1*cos(2*pi*x1)", "0.1*cos(2*pi*x2)")
+
 
 def _raised(call):
     """The NumericalAbortError call raises, with every warning made an error."""
@@ -782,3 +794,30 @@ class TestExpConvergenceFit:
     def test_short_trajectory_rejected(self):
         with pytest.raises(ValueError, match="at least 5"):
             exp_convergence_fit([(0.0, np.zeros(2))] * 4)
+
+
+def test_sinkhorn_and_the_flow_contract_at_one_rate():
+    # Step m = t k of plain Sinkhorn tracks the parabolic flow at time t, so
+    # the per-step contraction of the iteration, rescaled by k, is the
+    # exponential settling rate of the flow. MILD pair of the acceptance tests.
+    f, g = "0.3*(1-cos(2*pi*x1))", "0.3*(1-cos(2*pi*(x1-0.25)))"
+    k = 256
+    p, q = discretize_torus(f, k, 1).weights, discretize_torus(g, k, 1).weights
+    app = TorusLatticeApplicator(TorusGrid(1, k), TorusKernelSpec("gaussian", k=k), p, q,
+                                 mode="fft")
+    state = run_until(initial_state(app), app, tol=1e-13, A=12.0)
+    assert state.stop_reason == "tol"
+    e_col = np.array([r.e_col for r in state.trace])
+    clean = (e_col > 1e-12) & (e_col < 1e-4)
+    pairs = clean[:-1] & clean[1:]
+    sinkhorn_rate = np.median(-k * np.log(e_col[1:][pairs] / e_col[:-1][pairs]))
+
+    N, T = 64, 1.5
+    traj = solve_parabolic(np.zeros(N), f, g, T, TorusGrid(1, N),
+                           record_times=[T * i / 29 for i in range(30)])
+    times = np.array([s.t for s in traj[:-1]])
+    osc = np.array([hilbert_distance(s.u, traj[-1].u) for s in traj[:-1]])
+    fit = (osc > 1e-11) & (osc < 1e-3)
+    assert pairs.sum() >= 10 and fit.sum() >= 5
+    flow_rate = -np.polyfit(times[fit], np.log(osc[fit]), 1)[0]
+    assert sinkhorn_rate == pytest.approx(flow_rate, rel=0.01)

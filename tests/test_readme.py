@@ -1,9 +1,10 @@
-"""The README's examples run as written.
+"""The README's examples run as written, and the README stays short.
 
 The library example is the README's one `python` block; the CLI example is
 the JSON block that follows "A minimal torus config". Both solve the
 README pair to tol, so they stop on "tol"; the digits they print are not
-checked.
+checked. Benchmark figures, test counts and suite times go stale at the
+next change, so they live in CHANGES.md, not in the README.
 """
 
 import contextlib
@@ -39,3 +40,14 @@ def test_minimal_torus_config_stops_on_tol(tmp_path):
         assert main(argv) == 0
     summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
     assert summary["stop_reason"] == "tol"
+
+
+# "676 tests", "664 passed", "3 min", "ran in 30 s", "took 2.5 s"
+_STALE_FIGURE = re.compile(r"\b\d+ (?:tests|passed)\b|\b\d+ min\b|\b(?:in|took) \d+(?:\.\d+)? s\b")
+
+
+def test_readme_is_short_and_quotes_no_measurements():
+    text = README.read_text(encoding="utf-8")
+    assert len(text.splitlines()) <= 170
+    assert "BENCH_" not in text
+    assert _STALE_FIGURE.search(text) is None, _STALE_FIGURE.search(text)

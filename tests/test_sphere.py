@@ -127,6 +127,14 @@ class TestSphericalGrid:
         with pytest.raises(ValueError):
             SphericalGrid(129)
 
+    @pytest.mark.parametrize("W", [16.7, 16.0, True, "16", np.float64(8)])
+    def test_non_integer_bandwidth_refused(self, W):
+        with pytest.raises(ValueError, match=f"bandwidth W must be an integer, got {W}"):
+            SphericalGrid(W)
+
+    def test_numpy_integer_bandwidth_accepted(self):
+        assert SphericalGrid(np.int64(8)).size == SphericalGrid(8).size
+
 
 class TestHarmonicCoeffs:
     def test_triangle_guard(self):

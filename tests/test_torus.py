@@ -70,6 +70,21 @@ class TestTorusGrid:
         with pytest.raises(ValueError, match="dimension"):
             TorusGrid(4, 3)
 
+    @pytest.mark.parametrize("n, k", [(1, 16.5), (1, 16.0), (1.0, 16), (True, 16), (1, True),
+                                      (1, "16"), (1, np.float64(16))])
+    def test_non_integer_sizes_refused(self, n, k):
+        with pytest.raises(ValueError, match=f"must be integers, got n={n}, k={k}"):
+            TorusGrid(n, k)
+
+    def test_numpy_integer_sizes_accepted(self):
+        grid = TorusGrid(np.int64(2), np.int32(8))
+        assert grid.size == 64 and grid.points().shape == (64, 2)
+
+    def test_numpy_integer_size_cannot_wrap_past_the_cap(self):
+        # np.int32(2000) ** 3 wraps to a negative int32
+        with pytest.raises(ValueError, match="exceeds"):
+            TorusGrid(3, np.int32(2000))
+
 
 class TestTorusCost:
     def test_coincident_points(self):

@@ -478,12 +478,12 @@ def solve_parabolic(u0, f, g, T, grid, dt=None, record_times=None, normalize=Tru
 
     Steps land exactly on each record time (the last partial step of a
     segment shrinks dt as needed). The run always reaches T: when the
-    record times stop short of it, T is recorded last, so an empty list
-    records T alone, as None does. By default the forcing exponents are
-    normalized to unit e^{-f} grid mean so the flow can reach a steady
-    state; pass normalize=False to integrate the raw equation. dt must be
-    finite and positive and T finite and nonnegative, or no step count
-    reaches T.
+    record times (a list or an array) stop short of it, T is recorded
+    last, so an empty list records T alone, as None does. By default the
+    forcing exponents are normalized to unit e^{-f} grid mean so the flow
+    can reach a steady state; pass normalize=False to integrate the raw
+    equation. dt must be finite and positive and T finite and nonnegative,
+    or no step count reaches T.
 
     Each step screens its rhs and its new u with one sum each and runs
     the exact test only when a sum is not finite (see _Stepper), under
@@ -503,7 +503,7 @@ def solve_parabolic(u0, f, g, T, grid, dt=None, record_times=None, normalize=Tru
     if not (np.isfinite(T) and T >= 0.0):
         raise ValueError(f"T must be finite and nonnegative, got {T}")
     tiny = 1e-12
-    times = sorted(float(t) for t in record_times or ())
+    times = sorted(float(t) for t in (() if record_times is None else record_times))
     if not all(-tiny <= t <= T + tiny for t in times):  # NaN fails both
         raise ValueError("record times must lie within [0, T]")
     if not times or times[-1] < T - tiny:

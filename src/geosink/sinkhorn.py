@@ -11,9 +11,10 @@ to apply the kernel. The backend contract is structural; any object with
     describe() -> dict
 
 works. DenseApplicator below is the one exact log-domain backend; each
-manifold only builds its log-kernel matrix. A fast route (torus FFT or
-product, sphere SHT) is a LinearDomainApplicator: that exact route plus a
-linear-domain shortcut. No route takes a potential of NaN or infinite minimum.
+manifold only builds its kernel rows (a matrix, or a grid's table windows).
+A fast route (torus FFT or product, sphere SHT) is a LinearDomainApplicator:
+that exact route plus a linear-domain shortcut. No route takes a potential
+of NaN or infinite minimum.
 
 One step maps u_m to u_{m+1} = u[v_{m+1}] with v_{m+1} = v[u_m]. Because
 the u-update runs last, the source marginal of the induced plan is exact
@@ -410,17 +411,17 @@ def _finite_min(values):
 class DenseApplicator:
     """Exact log-domain backend: the one dense softmin of the package.
 
-    Holds the log-kernel matrix log K[i, j] = -k c(x_i, y_j) and reduces
-    it in contiguous row blocks with the max-shifted log-sum-exp, the
-    stabilised form of Peyre & Cuturi (arXiv:1803.00567, sec. 4.4), so an
-    application needs O(block * N) memory beyond the matrix. It costs
-    O(N^2) per application and refuses supports past DENSE_POINT_CAP
-    points before allocating anything. It is the reference the fast
-    routes are certified against, and each fast route is one of these
-    whose matrix waits for its first exact use. Its softmin pair serves
-    every route: a potential whose minimum is not finite (a NaN or -inf
-    entry, or every entry +inf) raises ValueError("potential contains
-    non-finite entries"); +inf entries above a finite minimum are allowed.
+    Reduces kernel rows log K = -k c, shaped (*out_shape, *in_shape), in
+    blocks with the max-shifted log-sum-exp of Peyre & Cuturi
+    (arXiv:1803.00567, sec. 4.4): O(N^2) per application, O(block * N)
+    memory beyond the rows. Between point clouds they are the M x N matrix,
+    refused past DENSE_POINT_CAP points before it is allocated; a grid's
+    are zero-copy windows of one table, uncapped, serving both directions.
+    It is the reference the fast routes are certified against, and each
+    fast route is one of these whose rows wait for their first exact use.
+    Its softmin pair serves every route: a potential whose minimum is not
+    finite (a NaN or -inf entry, or every entry +inf) raises ValueError;
+    +inf entries above a finite minimum are allowed.
     """
 
     def __init__(self, k, p, q, cost):
@@ -431,22 +432,18 @@ class DenseApplicator:
         self._build_dense()
 
     @classmethod
-    def from_log_kernel(cls, k, p, q, log_kernel, symmetric=False):
+    def from_log_kernel(cls, k, p, q, log_kernel):
         """Applicator over the matrix log_kernel() returns, built only under the cap.
 
-        log_kernel() gives log K[i, j] between source i and target j; -inf
-        marks a vanishing kernel entry. With symmetric=True the kernel
-        lives on one node set and the one matrix serves both directions,
-        row r holding the kernel against every input for output r, which
-        is how a convolution applies it.
+        Entry [i, j] is log K between source i and target j, -inf where K vanishes.
         """
         app = cls.__new__(cls)
-        app._setup(k, p, q, log_kernel, symmetric)
+        app._setup(k, p, q, log_kernel)
         app._build_dense()
         return app
 
     def _setup(self, k, p, q, log_kernel, symmetric=False):
-        """k, the weights, their logs and the builder _build_dense calls."""
+        """k, the weights, their logs and the rows' builder; symmetric rows serve both ways."""
         self.k = float(k)
         self.p = np.asarray(p, dtype=float)
         self.q = np.asarray(q, dtype=float)
@@ -454,13 +451,14 @@ class DenseApplicator:
         self._log_kernel, self._symmetric = log_kernel, symmetric
 
     def _build_dense(self):
-        """Build the matrix under the cap, then drop the builder and what it holds."""
-        _check_dense_cap(max(self.p.size, self.q.size))
-        log_K = self._log_kernel()
-        if log_K.shape != (self.p.size, self.q.size):
+        """Build the rows (a matrix only under the cap), then drop the builder."""
+        if not self._symmetric:
+            _check_dense_cap(max(self.p.size, self.q.size))
+        rows = self._log_kernel()
+        if not self._symmetric and rows.shape != (self.p.size, self.q.size):
             raise ValueError("cost matrix shape must be (len(p), len(q))")
-        self._to_source = log_K
-        self._to_target = log_K if self._symmetric else np.ascontiguousarray(log_K.T)
+        self._to_source = rows
+        self._to_target = rows if self._symmetric else np.ascontiguousarray(rows.T)
         self._log_kernel = None
 
     @property
@@ -468,34 +466,39 @@ class DenseApplicator:
         return self.p.size
 
     def _softmin(self, values, log_weights, to_target):
-        """The exact log-sum-exp, building the matrix first if need be.
+        """The exact log-sum-exp over the rows of one direction.
 
-        Each row block is kernel rows plus shifted log weights, formed in
-        one buffer this call reuses across its blocks. Each row's largest
-        term is taken out, the rest are shifted by it, exponentiated and
-        summed, and the row's value is log1p(sum) plus that term: the
-        arithmetic of scipy.special.logsumexp, bitwise unless the maximum
-        is tied. A row whose maximum is -inf (every term vanishes) gives -inf.
+        A block, along the first output axis of which one index fits 2^22
+        entries, fills one reused buffer with its rows plus the shifted log
+        weights. Each row's largest term is taken out, the rest shifted by
+        it, exponentiated and summed; the row's value is log1p(sum) plus
+        that term, the arithmetic of scipy.special.logsumexp (bitwise unless
+        the maximum is tied). A row whose maximum is -inf gives -inf.
         """
         if self._log_kernel is not None:
             self._build_dense()
         rows = self._to_target if to_target else self._to_source
-        s = -self.k * values + log_weights
-        n_out, n_in = rows.shape
-        out = np.empty(n_out)
-        block = max(1, min(n_out, (1 << 22) // n_in))
-        buf = np.empty((block, n_in))
-        for start in range(0, n_out, block):
-            terms = np.add(rows[start : start + block], s, out=buf[: n_out - start])
-            r = np.arange(len(terms))
-            top = terms.argmax(axis=1)
-            peak = terms[r, top]
-            terms[r, top] = -np.inf
-            terms -= np.where(peak == -np.inf, 0.0, peak)[:, None]
-            # exp is exactly 0 below -746, and several times faster from -inf
-            np.copyto(terms, -np.inf, where=terms < -746.0)
-            np.exp(terms, out=terms)
-            out[start : start + block] = np.log1p(terms.sum(axis=1)) + peak
+        out_shape = rows.shape[: rows.ndim // 2]
+        s = (-self.k * values + log_weights).reshape(rows.shape[len(out_shape) :])
+        sizes = [math.prod(rows.shape[a + 1 :]) for a in range(len(out_shape))]
+        d = next((a for a, size in enumerate(sizes) if size <= 1 << 22), len(sizes) - 1)
+        block = max(1, min(out_shape[d], (1 << 22) // sizes[d]))
+        buf, out, start = np.empty(block * sizes[d]), np.empty(math.prod(out_shape)), 0
+        for outer in np.ndindex(out_shape[:d]):
+            for first in range(0, out_shape[d], block):
+                terms = rows[outer + (slice(first, first + block),)]
+                terms = np.add(terms, s, out=buf[: terms.size].reshape(terms.shape))
+                terms = terms.reshape(-1, s.size)
+                r = np.arange(len(terms))
+                top = terms.argmax(axis=1)
+                peak = terms[r, top]
+                terms[r, top] = -np.inf
+                terms -= np.where(peak == -np.inf, 0.0, peak)[:, None]
+                # exp is exactly 0 below -746, and several times faster from -inf
+                np.copyto(terms, -np.inf, where=terms < -746.0)
+                np.exp(terms, out=terms)
+                out[start : start + len(terms)] = np.log1p(terms.sum(axis=1)) + peak
+                start += len(terms)
         out /= self.k
         return out
 
@@ -508,7 +511,10 @@ class DenseApplicator:
         return self._softmin(_finite_min(v)[0], self.log_q, False)
 
     def cost_row(self, i):
-        return -self._to_source[i] / self.k
+        if self._log_kernel is not None:
+            self._build_dense()
+        rows = self._to_source
+        return -rows[np.unravel_index(i, rows.shape[: rows.ndim // 2])].ravel() / self.k
 
     def describe(self):
         return {
@@ -522,7 +528,7 @@ class DenseApplicator:
 class LinearDomainApplicator(DenseApplicator):
     """A fast route: its own exact route plus a linear-domain shortcut.
 
-    Subclasses pass _setup the log-kernel builder of their exact route,
+    Subclasses pass _setup the builder of their exact route's rows,
     set _linear_apply to their kernel on a positive vector (it may return
     a buffer it owns and overwrites on the next call) and call _bind_pair
     with the buffer the weights are formed in. That binds the softmin pair
@@ -539,9 +545,10 @@ class LinearDomainApplicator(DenseApplicator):
     routes. The floor is 0, or k * tiny / torus.SUBNORMAL_REL_ERROR on the
     exact 1-D torus product. DenseApplicator._softmin redoes an untrusted
     application, counted in .fallbacks; past DENSE_POINT_CAP points,
-    where that route is quadratic, the run aborts instead. The closures
-    reach the applicator only through a weak proxy, for that redo, so
-    binding makes no reference cycle; the redo calls the applicator's own
+    where that route is quadratic, the run aborts instead. cost_row reads
+    the exact rows: a linear-domain apply rounds away the kernel's tail.
+    The closures reach the applicator only through a weak proxy, for that
+    redo, so binding makes no reference cycle; the redo calls the route's own
     methods, so a _build_dense patched on the instance still applies. So
     a caller that keeps only the pair must keep the applicator too: a redo
     after the applicator is gone raises ReferenceError.

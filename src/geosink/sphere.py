@@ -27,9 +27,9 @@ Both run in O(W^3) by separating the longitude FFT from a dense Legendre
 contraction per order.
 
 Kernel backends: SphereDenseApplicator is the exact sinkhorn.DenseApplicator
-route over the matrix of SphereKernelSpec.log_kernel, the one definition of
-each kernel. SphereSHTApplicator is that route plus the zonal kernel applied
-through that pair in the linear domain, the route it normally takes.
+route over windows of one ring table of SphereKernelSpec.log_kernel, the one
+definition of each kernel. SphereSHTApplicator is that route plus the zonal
+kernel applied through that pair in the linear domain, the route it takes.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial.legendre import leggauss, legvander, legval
 
 from .sinkhorn import (DenseApplicator, LinearDomainApplicator, _check_dense_cap,
@@ -504,7 +505,7 @@ class SphereKernelSpec:
 
     kind "heat": degree-W truncated heat kernel at time t (default 2/k),
     with 0 < t < inf. kind "antenna": 2^k (1 - x.y)^k, band-limited at
-    degree k; takes no t.
+    degree k; takes no t. k is finite and >= 1, and for the antenna an integer.
     log_kernel is the one definition of each kernel's entries.
     """
 
@@ -515,8 +516,10 @@ class SphereKernelSpec:
     def __post_init__(self):
         if self.kind not in ("heat", "antenna"):
             raise ValueError(f"unknown sphere kernel kind {self.kind!r}")
-        if self.k < 1:
-            raise ValueError(f"sharpness k must be >= 1, got {self.k}")
+        if self.kind == "antenna" and not _is_integer(self.k):  # a polynomial degree
+            raise ValueError(f"the antenna's k must be an integer, got k={self.k!r}")
+        if not (np.isfinite(self.k) and self.k >= 1):  # also refuses NaN
+            raise ValueError(f"sharpness k must be finite and >= 1, got k={self.k!r}")
         kernel_heat_time(self.kind, self.k, self.t)
 
     @property
@@ -559,10 +562,21 @@ def _on_grid(app, grid, spec, p, q):
     if np.shape(p) != (grid.size,) or np.shape(q) != (grid.size,):
         raise ValueError("weight vectors must match the grid size")
     mult = spec.multipliers(grid)
-    app._setup(spec.k, p, q, lambda: spec.log_kernel(grid.embed(), grid.embed(), grid.W),
-               symmetric=True)
+    app._setup(spec.k, p, q, partial(_ring_windows, grid, spec), symmetric=True)
     app.grid, app.spec = grid, spec
     return mult
+
+
+def _ring_windows(grid, spec):
+    """Kernel rows, shape (n_theta, n_phi) * 2, as zero-copy windows of one table.
+
+    The kernel of nodes (r, a), (s, b) depends on r, s, (b - a) mod n_phi
+    only: node (r, a)'s row is the window at n_phi - a of ring r's row of the
+    table from each ring's first node to every node, doubled in longitude.
+    """
+    xyz, n_theta, n_phi = grid.embed(), grid.n_theta, grid.n_phi
+    table = np.tile(spec.log_kernel(xyz[::n_phi], xyz, grid.W).reshape(n_theta, -1, n_phi), 2)
+    return sliding_window_view(table, n_phi, axis=-1)[:, :, n_phi:0:-1].transpose(0, 2, 1, 3)
 
 
 def _describe(grid, spec):
@@ -577,7 +591,7 @@ def _describe(grid, spec):
 
 
 class SphereDenseApplicator(DenseApplicator):
-    """Log-domain softmin against the materialized matrix of spec.log_kernel.
+    """Log-domain softmin over the rows of spec.log_kernel, windows of one ring table.
 
     Antenna rows are exact; heat entries far below a row's peak are series
     rounding noise. The antenna's diagonal entries are -inf, which the
@@ -586,7 +600,6 @@ class SphereDenseApplicator(DenseApplicator):
 
     def __init__(self, grid, spec, p, q):
         _on_grid(self, grid, spec, p, q)
-        self._build_dense()
 
     def describe(self):
         return {**_describe(self.grid, self.spec), "backend": "dense"}
@@ -597,7 +610,7 @@ class SphereSHTApplicator(LinearDomainApplicator):
 
     Each application applies the zonal kernel in O(W^3) in the linear
     domain (see LinearDomainApplicator for the shift, the trust check, the
-    redo on SphereDenseApplicator's matrix, counted in .fallbacks, and the
+    redo on SphereDenseApplicator's rows, counted in .fallbacks, and the
     abort past DENSE_POINT_CAP nodes). The softmin pair is bound at
     construction like the torus's, but owns no buffer: its weights and its
     log back are fresh arrays (see _bound_softmin).
@@ -626,12 +639,6 @@ class SphereSHTApplicator(LinearDomainApplicator):
             return route._redo(values, log_weights, to_target)
 
         return softmin
-
-    def cost_row(self, i):
-        # the dense route's matrix row, not one SHT apply of a unit vector,
-        # whose absolute rounding swamps the kernel's tail
-        xyz = self.grid.embed()
-        return -self.spec.log_kernel(xyz[i : i + 1], xyz, self.grid.W)[0] / self.k
 
     def describe(self):
         return {**_describe(self.grid, self.spec), "backend": "sht",

@@ -8,21 +8,21 @@ periodic distance,
 
 which decouples per axis. Kernel application (the inner loop of the scaling
 iteration) comes in two flavours. The exact one is the package's single
-dense route, sinkhorn.DenseApplicator, over a matrix built here: the
-circulant log_K[a, b] = log_profile[(a - b) mod k] per axis on the lattice,
-or the log-kernel between two point clouds. The fast one works in the
-linear domain and exploits the kernel's translation invariance: an FFT
-convolution on the 2-D and 3-D lattices, and on the 1-D lattice the exact
-circulant product out[j] = sum_i profile[(j - i) mod k] w_i. Each output
-of that product is a sum of k positive terms, so its relative error is at
-most about k * eps (Higham, Accuracy and Stability of Numerical
-Algorithms, 2nd ed., sec. 4.2) whatever range the outputs span; against
-extended precision it stays below 3e-15 for k from 2 to 8192, and on the
-tests' cosine potentials it agrees with the dense route to about one ulp
-(k |gap| at most 1.2e-13 for k up to 1024). An FFT
-would instead put an absolute error of order eps * log2(k) * ||w||_2 *
-sum(profile) into every output (ibid., sec. 24.1), swamping the small
-outputs of a peaked potential.
+dense route, sinkhorn.DenseApplicator, over kernel rows built here: on the
+lattice log_K[a, b] = log_profile[(a - b) mod k] per axis, each row a
+window of one table (no N x N matrix, no point cap), or the log-kernel
+matrix between two point clouds. The fast one works in the linear domain
+and exploits the kernel's translation invariance: an FFT convolution on
+the 2-D and 3-D lattices, and on the 1-D lattice the exact circulant
+product out[j] = sum_i profile[(j - i) mod k] w_i. Each output of that
+product is a sum of k positive terms, so its relative error is at most
+about k * eps (Higham, Accuracy and Stability of Numerical Algorithms,
+2nd ed., sec. 4.2) whatever range the outputs span; against extended
+precision it stays below 3e-15 for k from 2 to 8192, and on the tests'
+cosine potentials it agrees with the dense route to about one ulp (k |gap|
+at most 1.2e-13 for k up to 1024). An FFT would instead put an absolute
+error of order eps * log2(k) * ||w||_2 * sum(profile) into every output
+(ibid., sec. 24.1), swamping the small outputs of a peaked potential.
 
 Kernels: the Gaussian profile exp(-k c) for sharpness k, or the periodized
 heat kernel at time t (an image sum over integer shifts of the displacement
@@ -43,6 +43,7 @@ from functools import partial
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+# DENSE_POINT_CAP is imported from here as well as from sinkhorn
 from .sinkhorn import DENSE_POINT_CAP, LinearDomainApplicator, _is_integer, kernel_heat_time
 
 try:  # the gufuncs that np.fft.rfft and np.fft.irfft call (numpy 2)
@@ -269,8 +270,8 @@ class TorusKernelSpec:
     def __post_init__(self):
         if self.kind not in ("gaussian", "heat"):
             raise ValueError(f"unknown kernel kind {self.kind!r}")
-        if self.k < 2:
-            raise ValueError(f"sharpness k must be >= 2, got {self.k}")
+        if not (np.isfinite(self.k) and self.k >= 2):  # also refuses NaN
+            raise ValueError(f"sharpness k must be finite and >= 2, got k={self.k!r}")
         kernel_heat_time(self.kind, self.k, self.t)
 
     @property
@@ -341,21 +342,16 @@ def torus_log_kernel(xs, ys, spec):
     return spec._axis_log_kernel(deltas, n)
 
 
-def _circulant_log_kernel(log_profile):
-    """N x N matrix log_K[a, b] = log_profile[(a - b) mod k] per axis.
+def _lattice_windows(log_profile):
+    """Kernel rows log_K[a, b] = log_profile[(a - b) mod k] per axis, shape (k,)*2n.
 
-    a and b are lexicographic flat lattice indices; row a is the kernel
-    the FFT convolution applies for output a. Gathered through per-axis
-    k x k difference tables, so nothing larger than the result is built.
+    Output a's row, the kernel the FFT convolution applies for it, is the
+    zero-copy window at k - a on every axis of one table, the profile
+    reversed and doubled along each axis: log_profile[-j mod k] for j < 2k.
     """
     k, n = log_profile.shape[0], log_profile.ndim
-    diff = (np.arange(k)[:, None] - np.arange(k)[None, :]) % k
-    index = []
-    for axis in range(n):
-        shape = [1] * (2 * n)
-        shape[axis] = shape[n + axis] = k
-        index.append(diff.reshape(shape))
-    return log_profile[tuple(index)].reshape(k**n, k**n)
+    table = log_profile[np.ix_(*[-np.arange(2 * k) % k] * n)]
+    return sliding_window_view(table, log_profile.shape)[(slice(k, 0, -1),) * n]
 
 
 # ---------------------------------------------------------------------------
@@ -465,10 +461,8 @@ def _circulant_schedule(log_profile, doubled):
     """
     k = log_profile.size
     block = min(_BLOCK, k)
-    profile = np.exp(log_profile)
-    # H.T[i, r] = profile[(r - i) mod k]: row i reads the profile from (k - i) mod k
-    head_t = sliding_window_view(np.concatenate((profile, profile[:block])),
-                                 block)[:0:-1].copy()
+    # H.T[i, r] = profile[(r - i) mod k]: the exact route's first rows
+    head_t = np.exp(_lattice_windows(log_profile)[:block]).T.copy()
     # a window may run past k - 1 into the second copy of w
     windows = sliding_window_view(doubled, k)[:k:block]
     n_windows = windows.shape[0]
@@ -486,14 +480,14 @@ def _circulant_schedule(log_profile, doubled):
 class TorusLatticeApplicator(LinearDomainApplicator):
     """Kernel application on the common lattice, direct or fast mode.
 
-    The exact route is DenseApplicator's softmin over the circulant
-    log-kernel, built at the first exact application; mode "direct" takes
-    it every time. mode "fft" binds the linear-domain softmin pair at
-    construction (see LinearDomainApplicator for the shift, the trust
-    check and the redo, counted in .fallbacks, or abort past
-    DENSE_POINT_CAP points) over one of two kernels. In 2-D and 3-D it is
-    the FFT convolution, not certified: its floor is 0, so it falls back
-    only on a nonpositive output. The pair forms its weights in a
+    The exact route is DenseApplicator's softmin over _lattice_windows,
+    built at the first exact application, with no point cap; mode "direct"
+    takes it every time. mode "fft" binds the linear-domain softmin pair at
+    construction (see LinearDomainApplicator for the shift, the trust check
+    and the redo, counted in .fallbacks, or abort past DENSE_POINT_CAP
+    points) over one of two kernels. In 2-D and 3-D it is the FFT
+    convolution, not certified: its floor is 0, so it falls back only on a
+    nonpositive output. The pair forms its weights in a
     lattice-sized buffer and the convolution runs in a spectrum and an
     output the applicator keeps. In 1-D, under the same name (kept for
     compatibility), it is the exact circulant product (_circulant_product),
@@ -510,12 +504,8 @@ class TorusLatticeApplicator(LinearDomainApplicator):
         if np.shape(p) != (grid.size,) or np.shape(q) != (grid.size,):
             raise ValueError("weight vectors must match the lattice size")
         # the builder holds the profile, not the applicator
-        self._setup(spec.k, p, q, lambda: _circulant_log_kernel(log_profile),
-                    symmetric=True)
-        self.grid = grid
-        self.spec = spec
-        self.mode = mode
-        self._cost_profile = -log_profile / self.k
+        self._setup(spec.k, p, q, lambda: _lattice_windows(log_profile), symmetric=True)
+        self.grid, self.spec, self.mode = grid, spec, mode
         if mode == "fft":
             if grid.n == 1:
                 self._floor = grid.k * np.finfo(float).tiny / SUBNORMAL_REL_ERROR
@@ -527,12 +517,6 @@ class TorusLatticeApplicator(LinearDomainApplicator):
                     _fft_convolve, profile_hat, grid.shape,
                     spectrum=np.empty_like(profile_hat), out=np.empty(grid.shape))
             self._bind_pair(buffer)
-
-    def cost_row(self, i):
-        """Cost row c(x_i, .) over the target lattice, shape (N,)."""
-        multi = tuple(int(m) for m in np.unravel_index(i, self.grid.shape))
-        rolled = np.roll(self._cost_profile, shift=multi, axis=tuple(range(self.grid.n)))
-        return rolled.ravel()
 
     def describe(self):
         return {

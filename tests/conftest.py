@@ -5,6 +5,8 @@ table printed at the end of the run, one pass/fail line each, so the
 acceptance status is readable without grepping the full log.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -41,3 +43,19 @@ def pytest_terminal_summary(terminalreporter):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260817)
+
+
+@pytest.fixture
+def traced_peak():
+    """peak(fn) -> (fn(), the most memory tracemalloc traced while fn ran, in bytes)."""
+
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = fn()
+            return result, tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    return peak

@@ -236,6 +236,17 @@ class TestSolveParabolic:
         )
         assert [s.t for s in states] == pytest.approx(wanted, abs=1e-12)
 
+    def test_array_of_record_times_reads_as_the_list(self):
+        # a numpy array once failed on its ambiguous truth value
+        grid = TorusGrid(1, 16)
+        args = (np.zeros(16), "0.1*cos(2*pi*x1)", "0.1*sin(2*pi*x1)", 0.05, grid)
+        wanted = np.linspace(0.0, 0.05, 3)
+        from_array = solve_parabolic(*args, record_times=wanted)
+        from_list = solve_parabolic(*args, record_times=wanted.tolist())
+        assert [s.t for s in from_array] == [s.t for s in from_list]
+        for a, b in zip(from_array, from_list):
+            assert np.array_equal(a.u, b.u) and a.min_eig == b.min_eig
+
     def test_record_beyond_horizon_rejected(self):
         grid = TorusGrid(1, 16)
         with pytest.raises(ValueError, match="within"):
@@ -723,20 +734,14 @@ class TestCircleOracle:
         monkeypatch.setattr(parabolic, "_alignments", self._all_pairs_alignments)
         assert circle_ot_oracle(p, q) == out
 
-    def test_sweep_memory_is_linear_in_k(self):
+    def test_sweep_memory_is_linear_in_k(self, traced_peak):
         # the all-pairs sweep held 4096^2 floats per shift (512 MB); the
         # sweep alone is traced, as tracing the golden section's O(k)
         # Python walk takes seconds
-        import tracemalloc
-
         p, q = self._oracle_pair(4096, "uniform", None)
         Pc, Qc = np.cumsum(p), np.cumsum(q)
-        tracemalloc.start()
-        try:
-            near = parabolic._alignments(Pc, Qc, 0.0)  # the rotation of p onto itself
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        # the rotation of p onto itself
+        near, peak = traced_peak(lambda: parabolic._alignments(Pc, Qc, 0.0))
         assert len(near) >= 4096
         assert peak < 16 * 2**20
 

@@ -479,6 +479,30 @@ def _every_route(name):
     return cls(grid, SphereKernelSpec("heat", 4), w, w)
 
 
+class TestGridRowsMemory:
+    # the exact grid routes read each kernel row as a window of one table:
+    # their N x N matrices once peaked at 256 MiB (torus) and 640 MiB (sphere)
+    @pytest.mark.parametrize("route", ["torus-1d-4096", "sphere-W31"])
+    def test_construct_and_apply_stay_under_64_mb(self, traced_peak, route):
+        if route.startswith("torus"):
+            grid = TorusGrid(1, 4096)
+            p = q = np.full(grid.size, 1.0 / grid.size)
+
+            def construct():
+                return TorusLatticeApplicator(grid, TorusKernelSpec("gaussian", grid.k),
+                                              p, q, mode="direct")
+        else:
+            grid = SphericalGrid(31)
+            p = q = grid.node_weights
+
+            def construct():
+                return SphereDenseApplicator(grid, SphereKernelSpec("heat", 16), p, q)
+        u = 0.1 * np.random.default_rng(6).random(grid.size)
+        out, peak = traced_peak(lambda: construct().softmin_to_target(u))
+        assert np.isfinite(out).all()
+        assert peak <= 64 * 2**20, peak / 2**20
+
+
 class TestInputRule:
     # every route refuses a potential whose minimum is not finite; the
     # exact routes once returned NaN (from a NaN entry) or +inf (from -inf)

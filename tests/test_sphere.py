@@ -1,5 +1,7 @@
 """Sphere grid, harmonic transforms, zonal kernels, and the reflector map."""
 
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -418,29 +420,42 @@ class TestSphereKernelSpec:
 
     def test_antenna_rows_are_exact(self):
         # the Legendre series gave -inf and rounding noise in the kernel's
-        # tail here; the closed form matches |x - y|^(2k) in every entry
+        # tail here; the closed form matches |x - y|^(2k) in every entry.
+        # Node (r, a)'s row is ring r's first node against node
+        # (s, (b - a) mod n_phi): each entry is checked against that pair
         import mpmath
 
         grid, k = SphericalGrid(31), 16
-        p = grid.node_weights
+        n_phi, p = grid.n_phi, grid.node_weights
         dense = SphereDenseApplicator(grid, SphereKernelSpec("antenna", k), p, p)
-        log_K = dense._to_source
-        assert np.isneginf(np.diag(log_K)).all()
-        assert np.isfinite(log_K).sum() == grid.size * (grid.size - 1)
         xyz = grid.embed()
         rng = np.random.default_rng(3)
         worst = 0.0
         with mpmath.workdps(50):
             for i in rng.choice(grid.size, 8, replace=False):
                 row = dense.cost_row(i)
+                assert np.flatnonzero(~np.isfinite(row)).tolist() == [i]
+                r, a = divmod(i, n_phi)
                 for j in rng.choice(grid.size, 200, replace=False):
                     if j == i:
                         continue
-                    chord = sum((mpmath.mpf(float(a)) - mpmath.mpf(float(b))) ** 2
-                                for a, b in zip(xyz[i], xyz[j]))
+                    s, b = divmod(j, n_phi)
+                    pair = xyz[r * n_phi], xyz[s * n_phi + (b - a) % n_phi]
+                    chord = sum((mpmath.mpf(float(x)) - mpmath.mpf(float(y))) ** 2
+                                for x, y in zip(*pair))
                     exact = -mpmath.log(chord ** k) / k
                     worst = max(worst, abs(row[j] - float(exact)))
         assert worst <= 1e-14, worst
+
+    @pytest.mark.parametrize("k", [2.5, np.float64(3.0), True, np.nan])
+    def test_antenna_degree_must_be_an_integer(self, k):
+        with pytest.raises(ValueError, match=re.escape(f"an integer, got k={k!r}")):
+            SphereKernelSpec("antenna", k)
+
+    @pytest.mark.parametrize("k", [np.nan, np.inf, 0.5])
+    def test_heat_sharpness_must_be_finite(self, k):
+        with pytest.raises(ValueError, match=re.escape(f"finite and >= 1, got k={k!r}")):
+            SphereKernelSpec("heat", k)
 
 
 class TestSphereApplicators:
@@ -515,17 +530,48 @@ class TestSphereApplicators:
             assert np.array_equal(fast.cost_row(i), dense.cost_row(i))
 
     def test_cost_row_is_bitwise_the_uncached_row(self):
-        # the row from embedding the angles afresh, as before the grid
-        # cached its geometry
+        # the ring table from embedding the angles afresh, as before the
+        # grid cached its geometry: node (r, a)'s row is ring r's row
+        # rolled by a along longitude
         grid = SphericalGrid(16)
         p = grid.node_weights
         fast = SphereSHTApplicator(grid, SphereKernelSpec("heat", 16), p, p)
         phi, theta = np.meshgrid(grid.phis, grid.thetas, indexing="xy")
         xyz = sphere_embed(phi.ravel(), theta.ravel())
+        table = zonal_log_kernel(xyz[:: grid.n_phi], xyz, fast._mult)
         for i in (0, 7, grid.size - 1):
-            ref = -zonal_log_kernel(xyz[i : i + 1], xyz, fast._mult)[0] / fast.k
+            r, a = divmod(i, grid.n_phi)
+            ring = table[r].reshape(grid.n_theta, grid.n_phi)
+            ref = -np.roll(ring, a, axis=1).ravel() / fast.k
             assert np.array_equal(fast.cost_row(i), ref)
             assert np.array_equal(fast.cost_row(i), ref)
+
+    @pytest.mark.parametrize("kind", ["heat", "antenna"])
+    def test_rows_are_ring_circulant(self, kind):
+        # the kernel depends on the two rings and the longitude offset only,
+        # so node (r, a)'s row is node (r, 0)'s rolled by a, bitwise
+        grid = SphericalGrid(12)
+        n_theta, n_phi, p = grid.n_theta, grid.n_phi, grid.node_weights
+        fast = SphereSHTApplicator(grid, SphereKernelSpec(kind, 8), p, p)
+        for r in (0, 5, n_theta - 1):
+            base = fast.cost_row(r * n_phi).reshape(n_theta, n_phi)
+            for a in (1, 7, n_phi - 1):
+                rolled = np.roll(base, a, axis=1).ravel()
+                assert np.array_equal(fast.cost_row(r * n_phi + a), rolled)
+
+    def test_dense_past_the_old_cap_matches_sht(self, rng):
+        # 4356 nodes, past DENSE_POINT_CAP: the rows are windows of one ring
+        # table, so no N x N matrix refuses them
+        grid = SphericalGrid(32)
+        spec = SphereKernelSpec("antenna", 16)
+        w = rng.random(grid.size) + 0.5
+        p, q = w / w.sum(), grid.node_weights
+        dense = SphereDenseApplicator(grid, spec, p, q)
+        fast = SphereSHTApplicator(grid, spec, p, q)
+        u = 0.05 * rng.standard_normal(grid.size)
+        assert_allclose(dense.softmin_to_target(u), fast.softmin_to_target(u), atol=1e-10)
+        assert_allclose(dense.softmin_to_source(u), fast.softmin_to_source(u), atol=1e-10)
+        assert fast.fallbacks == 0
 
     def test_underflow_past_the_cap_aborts(self, monkeypatch):
         grid = SphericalGrid(32)  # 4356 nodes, past the dense cap

@@ -1,6 +1,6 @@
 """Torus lattice geometry, kernels, and the two application backends."""
 
-import tracemalloc
+import re
 
 import numpy as np
 import pytest
@@ -283,6 +283,12 @@ class TestKernelSpec:
         with pytest.raises(ValueError, match="unknown kernel"):
             TorusKernelSpec("poisson", 8)
 
+    @pytest.mark.parametrize("k", [np.nan, np.inf, 1.5, True])
+    def test_sharpness_must_be_finite(self, k):
+        # a NaN k was once accepted
+        with pytest.raises(ValueError, match=re.escape(f"finite and >= 2, got k={k!r}")):
+            TorusKernelSpec("gaussian", k)
+
     @pytest.mark.parametrize("t", [0.0, -1.0, np.nan, np.inf])
     def test_heat_time_must_be_finite_and_positive(self, t):
         message = "heat time t must be finite and positive"
@@ -340,12 +346,23 @@ class TestDirectSoftmin:
                 ref.append(float(mpmath.log(total) / k))
         assert_allclose(out, ref, atol=1e-13)
 
-    def test_point_cap_enforced(self):
-        grid = TorusGrid(2, 128)  # 16384 points
-        spec = TorusKernelSpec("gaussian", 128)
-        w = np.full(grid.size, 1.0 / grid.size)
-        with pytest.raises(ValueError, match="cap"):
-            _direct_softmin(grid, spec, np.zeros(grid.size), w)
+    def test_past_the_old_cap_matches_the_exact_product(self, rng):
+        # 8192 points, past DENSE_POINT_CAP: the rows are windows of one
+        # table, so no N x N matrix refuses them; the 1-D fast route is
+        # the exact circulant product
+        k = 8192
+        grid = TorusGrid(1, k)
+        spec = TorusKernelSpec("gaussian", k)
+        p, q = rng.random(k) + 0.5, rng.random(k) + 0.5
+        p, q = p / p.sum(), q / q.sum()
+        direct = TorusLatticeApplicator(grid, spec, p, q, mode="direct")
+        fast = TorusLatticeApplicator(grid, spec, p, q, mode="fft")
+        # amplitude 0.01 keeps every output above the fast route's floor
+        u = 0.01 * np.cos(2.0 * np.pi * grid.points().ravel())
+        for name in ("softmin_to_target", "softmin_to_source"):
+            gap = getattr(direct, name)(u) - getattr(fast, name)(u)
+            assert k * np.abs(gap).max() <= 1e-12
+        assert fast.fallbacks == 0
 
     def test_two_dim_matches_dense_cost_matrix(self, rng):
         # the multi-index circulant gather against the closed-form cost
@@ -556,32 +573,21 @@ class TestStepAllocation:
                                      TorusKernelSpec("gaussian", self.K), p, q, mode="fft")
         return app, run_until(initial_state(app), app, tol=None, m_max=3)
 
-    @staticmethod
-    def _peak_arrays(fn, size):
-        """Peak traced memory fn() adds, in arrays of size floats."""
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            fn()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        return (peak - before) / (8 * size)
-
-    def test_apply_allocates_only_its_result(self, warm):
+    def test_apply_allocates_only_its_result(self, warm, traced_peak):
         app, state = warm
         for apply in (app.softmin_to_target, app.softmin_to_source):
-            assert self._peak_arrays(lambda: apply(state.u.values), app.size) < 1.1
+            peak = traced_peak(lambda: apply(state.u.values))[1]
+            assert peak / (8 * app.size) < 1.1
 
-    def test_steps_allocate_only_their_potentials(self, warm):
+    def test_steps_allocate_only_their_potentials(self, warm, traced_peak):
         # run_until holds u, v and the next v across steps and one scratch
         # array: four arrays, plus the fresh potential of the step in
         # flight (the previous pair is freed before the trace softmin)
         app, state = warm
         for steps in (1, 20):
-            peak = self._peak_arrays(
-                lambda: run_until(state, app, tol=None, m_max=state.m + steps), app.size)
-            assert peak < 6.2
+            peak = traced_peak(
+                lambda: run_until(state, app, tol=None, m_max=state.m + steps))[1]
+            assert peak / (8 * app.size) < 6.2
 
 
 class TestStepAllocation1D(TestStepAllocation):

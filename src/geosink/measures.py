@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expressions import parse_expression
+from .sinkhorn import _check_weights
 from .sphere import SphericalGrid, sphere_embed
 from .torus import TorusGrid, torus_cost
 
@@ -216,8 +217,7 @@ class DiscreteMeasure:
         coords = np.atleast_2d(coords)
         if weights.shape != (coords.shape[0],):
             raise ValueError("one weight per point required")
-        if np.any(weights < 0) or not np.all(np.isfinite(weights)):
-            raise ValueError("weights must be finite and nonnegative")
+        _check_weights(weights)
         total = float(weights.sum())
         if not np.isclose(total, 1.0, rtol=0.0, atol=1e-12):
             raise ValueError(f"weights must sum to 1 within 1e-12, got {total!r}")

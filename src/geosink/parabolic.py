@@ -31,7 +31,7 @@ from math import isfinite
 import numpy as np
 from scipy.ndimage import map_coordinates, spline_filter
 
-from .sinkhorn import NumericalAbortError
+from .sinkhorn import NumericalAbortError, _check_weights
 from .torus import TorusGrid
 
 try:  # the compiled routine behind map_coordinates, minus its wrapper
@@ -670,10 +670,8 @@ def circle_ot_oracle(p, q):
         raise ValueError("p and q must be 1-D weight vectors on a common grid")
     # the matching walks nondecreasing ladders: a negative weight would
     # price an infeasible plan
-    if not (np.all(np.isfinite(p)) and np.all(np.isfinite(q))):
-        raise ValueError("weights must be finite")
-    if np.any(p < 0.0) or np.any(q < 0.0):
-        raise ValueError("weights must be nonnegative")
+    _check_weights(p)
+    _check_weights(q)
     if abs(p.sum() - 1.0) > 1e-9 or abs(q.sum() - 1.0) > 1e-9:
         raise ValueError("weights must sum to 1")
     Pc, Qc = np.cumsum(p), np.cumsum(q)

@@ -164,8 +164,6 @@ def softmin_update(pot, direction, kern):
     k^-1 log sum_i e^{-k(c(x_i,y)+u(x_i))} p_i; "y_to_x" is symmetric.
     """
     values = _values(pot)
-    if not np.all(np.isfinite(values)):
-        raise ValueError(_NON_FINITE)
     if direction == "x_to_y":
         out = kern.softmin_to_target(values)
     elif direction == "y_to_x":
@@ -399,6 +397,12 @@ def _check_dense_cap(points):
                          f"{DENSE_POINT_CAP} point cap")
 
 
+def _check_weights(weights, name="weights"):
+    """Refuse a weight array with a negative, NaN or infinite entry, naming it."""
+    if not np.all((weights >= 0.0) & (weights < np.inf)):  # NaN fails both
+        raise ValueError(f"{name} must be finite and nonnegative")
+
+
 def _finite_min(values):
     """values as floats and their minimum, refused unless that minimum is finite."""
     values = np.asarray(values, dtype=float)
@@ -419,16 +423,19 @@ class DenseApplicator:
     are zero-copy windows of one table, uncapped, serving both directions.
     It is the reference the fast routes are certified against, and each
     fast route is one of these whose rows wait for their first exact use.
-    Its softmin pair serves every route: a potential whose minimum is not
-    finite (a NaN or -inf entry, or every entry +inf) raises ValueError;
-    +inf entries above a finite minimum are allowed.
+    The input rule of every route, checked once by _setup, raises ValueError naming
+    what fails: k finite and > 0; source weights p and target weights q 1-D, one per
+    support point, finite, nonnegative and of positive total mass; a log-kernel
+    matrix free of NaN and +inf (-inf is a vanishing kernel); and, at each
+    application, a potential of finite minimum (+inf entries above it drop out).
     """
 
     def __init__(self, k, p, q, cost):
         cost = np.asarray(cost, dtype=float)
-        if not np.all(np.isfinite(cost)):
-            raise ValueError("cost matrix must be finite")
-        self._setup(k, p, q, lambda: -float(k) * cost)
+        if cost.ndim != 2 or not np.all(np.isfinite(cost)):
+            raise ValueError("cost matrix must be 2-D and finite")
+        _check_dense_cap(max(cost.shape))
+        self._setup(k, p, q, lambda: -self.k * cost, cost.shape)
         self._build_dense()
 
     @classmethod
@@ -437,26 +444,34 @@ class DenseApplicator:
 
         Entry [i, j] is log K between source i and target j, -inf where K vanishes.
         """
+        _check_dense_cap(max(np.size(p), np.size(q)))
+        rows = np.asarray(log_kernel(), dtype=float)
+        if rows.ndim != 2 or not np.all(rows < np.inf):  # NaN fails too
+            raise ValueError("log kernel must be a 2-D matrix with no NaN or +inf entry")
         app = cls.__new__(cls)
-        app._setup(k, p, q, log_kernel)
+        app._setup(k, p, q, lambda: rows, rows.shape)
         app._build_dense()
         return app
 
-    def _setup(self, k, p, q, log_kernel, symmetric=False):
-        """k, the weights, their logs and the rows' builder; symmetric rows serve both ways."""
-        self.k = float(k)
-        self.p = np.asarray(p, dtype=float)
-        self.q = np.asarray(q, dtype=float)
-        self.log_p, self.log_q = np.log(self.p), np.log(self.q)
+    def _setup(self, k, p, q, log_kernel, shape, symmetric=False):
+        """Check and keep k, the weights and the builder; symmetric rows serve both ways."""
+        if not 0.0 < k < np.inf:  # also refuses NaN
+            raise ValueError(f"k must be finite and > 0, got k={k!r}")
+        p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+        for side, w, n in (("source", p, shape[0]), ("target", q, shape[1])):
+            if w.shape != (n,):
+                raise ValueError(f"{side} weights must have shape ({n},), got {w.shape}")
+            _check_weights(w, f"{side} weights")
+            if not w.sum() > 0.0:
+                raise ValueError(f"{side} weights must have positive total mass")
+        self.k, self.p, self.q = float(k), p, q
+        with np.errstate(divide="ignore"):  # a zero weight's log is the intended -inf
+            self.log_p, self.log_q = np.log(self.p), np.log(self.q)
         self._log_kernel, self._symmetric = log_kernel, symmetric
 
     def _build_dense(self):
-        """Build the rows (a matrix only under the cap), then drop the builder."""
-        if not self._symmetric:
-            _check_dense_cap(max(self.p.size, self.q.size))
+        """Build the rows, then drop the builder; a matrix's transpose serves the targets."""
         rows = self._log_kernel()
-        if not self._symmetric and rows.shape != (self.p.size, self.q.size):
-            raise ValueError("cost matrix shape must be (len(p), len(q))")
         self._to_source = rows
         self._to_target = rows if self._symmetric else np.ascontiguousarray(rows.T)
         self._log_kernel = None
@@ -528,9 +543,9 @@ class DenseApplicator:
 class LinearDomainApplicator(DenseApplicator):
     """A fast route: its own exact route plus a linear-domain shortcut.
 
-    Subclasses pass _setup the builder of their exact route's rows,
-    set _linear_apply to their kernel on a positive vector (it may return
-    a buffer it owns and overwrites on the next call) and call _bind_pair
+    Subclasses pass _setup (DenseApplicator's input rule) the builder of their
+    exact route's rows, set _linear_apply to their kernel on a positive vector
+    (it may return a buffer it owns and overwrites on the next call) and call _bind_pair
     with the buffer the weights are formed in. That binds the softmin pair
     once, as two closures over k and -k as 0-d arrays, the log weights,
     the buffer, the kernel and the ufuncs they call, assigned as the

@@ -555,14 +555,10 @@ class SphereKernelSpec:
 
 
 def _on_grid(app, grid, spec, p, q):
-    """Check the weights, give app its exact route and return spec's multipliers.
-
-    The route's builder holds the grid and the spec, never the applicator.
-    """
-    if np.shape(p) != (grid.size,) or np.shape(q) != (grid.size,):
-        raise ValueError("weight vectors must match the grid size")
+    """Give app its exact route, whose builder never holds app; return spec's multipliers."""
     mult = spec.multipliers(grid)
-    app._setup(spec.k, p, q, partial(_ring_windows, grid, spec), symmetric=True)
+    app._setup(spec.k, p, q, partial(_ring_windows, grid, spec), (grid.size, grid.size),
+               symmetric=True)
     app.grid, app.spec = grid, spec
     return mult
 
@@ -608,12 +604,12 @@ class SphereDenseApplicator(DenseApplicator):
 class SphereSHTApplicator(LinearDomainApplicator):
     """Accelerated linear-domain softmin through the harmonic expansion.
 
-    Each application applies the zonal kernel in O(W^3) in the linear
-    domain (see LinearDomainApplicator for the shift, the trust check, the
-    redo on SphereDenseApplicator's rows, counted in .fallbacks, and the
-    abort past DENSE_POINT_CAP nodes). The softmin pair is bound at
-    construction like the torus's, but owns no buffer: its weights and its
-    log back are fresh arrays (see _bound_softmin).
+    DenseApplicator's input rule holds. Each application applies the zonal
+    kernel in O(W^3) in the linear domain (see LinearDomainApplicator for the
+    shift, the trust check, the redo on SphereDenseApplicator's rows, counted
+    in .fallbacks, and the abort past DENSE_POINT_CAP nodes). The softmin
+    pair is bound at construction like the torus's, but owns no buffer: its
+    weights and its log back are fresh arrays (see _bound_softmin).
     """
 
     def __init__(self, grid, spec, p, q):

@@ -480,6 +480,7 @@ def _circulant_schedule(log_profile, doubled):
 class TorusLatticeApplicator(LinearDomainApplicator):
     """Kernel application on the common lattice, direct or fast mode.
 
+    Its inputs follow DenseApplicator's input rule.
     The exact route is DenseApplicator's softmin over _lattice_windows,
     built at the first exact application, with no point cap; mode "direct"
     takes it every time. mode "fft" binds the linear-domain softmin pair at
@@ -501,10 +502,9 @@ class TorusLatticeApplicator(LinearDomainApplicator):
         log_profile = spec.log_cost_profile(grid)  # checks grid.k == spec.k
         if mode not in ("direct", "fft"):
             raise ValueError(f"unknown mode {mode!r}")
-        if np.shape(p) != (grid.size,) or np.shape(q) != (grid.size,):
-            raise ValueError("weight vectors must match the lattice size")
         # the builder holds the profile, not the applicator
-        self._setup(spec.k, p, q, lambda: _lattice_windows(log_profile), symmetric=True)
+        self._setup(spec.k, p, q, lambda: _lattice_windows(log_profile),
+                    (grid.size, grid.size), symmetric=True)
         self.grid, self.spec, self.mode = grid, spec, mode
         if mode == "fft":
             if grid.n == 1:

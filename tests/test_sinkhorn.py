@@ -94,6 +94,19 @@ class TestSoftminUpdate:
             softmin_update(np.array([0.0, np.nan, 0, 0]), "x_to_y",
                            _zero_cost_applicator())
 
+    @pytest.mark.parametrize("route", ["dense", "torus1-fft", "torus2-fft", "sphere-sht"])
+    def test_inf_entry_gives_the_backend_output(self, route):
+        # softmin_update leaves the potential to the backend's own rule
+        kern = _every_route(route)
+        values = 0.1 * np.random.default_rng(5).random(kern.p.size)
+        values[2] = np.inf
+        want = kern.softmin_to_target(values)
+        assert np.array_equal(softmin_update(values, "x_to_y", kern).values, want)
+        values = 0.1 * np.random.default_rng(6).random(kern.q.size)
+        values[1] = np.inf
+        want = kern.softmin_to_source(values)
+        assert np.array_equal(softmin_update(values, "y_to_x", kern).values, want)
+
 
 class TestSinkhornStep:
     def test_self_transport_fixed_point_after_one_step(self):
@@ -459,24 +472,26 @@ def _fast_applicator(kind):
                                   mode="fft")
 
 
-def _every_route(name):
+def _every_route(name, edit=lambda p, q: (p, q)):
+    # edit(p, q) -> the weights the route is built with
     rng = np.random.default_rng(4)
     if name.startswith("dense"):
         p, q = rng.random(6) + 0.2, rng.random(5) + 0.2
         p, q, cost = p / p.sum(), q / q.sum(), rng.random((6, 5))
+        p, q = edit(p, q)
         if name == "dense":
             return DenseApplicator(3.0, p, q, cost)
         return DenseApplicator.from_log_kernel(3.0, p, q, lambda: -3.0 * cost)
     if name.startswith("torus"):
         n, mode = int(name[5]), name.split("-")[1]
         k = {1: 32, 2: 8}[n]
-        p, q = _product_weights(k, n)
+        p, q = edit(*_product_weights(k, n))
         return TorusLatticeApplicator(TorusGrid(n, k), TorusKernelSpec("gaussian", k),
                                       p, q, mode=mode)
     grid = SphericalGrid(6)
     w = grid.node_weights
     cls = SphereSHTApplicator if name == "sphere-sht" else SphereDenseApplicator
-    return cls(grid, SphereKernelSpec("heat", 4), w, w)
+    return cls(grid, SphereKernelSpec("heat", 4), *edit(w, w))
 
 
 class TestGridRowsMemory:
@@ -532,6 +547,113 @@ class TestInputRule:
         values[2] = np.inf
         out = kern.softmin_to_target(values)
         assert np.all(np.isfinite(out))
+
+
+_ROUTES = ["dense", "dense-log-kernel", "torus1-direct", "torus1-fft", "torus2-direct",
+           "torus2-fft", "sphere-sht", "sphere-dense"]
+
+
+def _spoil(w, bad):
+    w = np.array(w, dtype=float)
+    if bad == "2-D":
+        return w[:, None]
+    if bad == "wrong size":
+        return np.append(w, w[0])
+    if bad == "all zero":
+        return np.zeros_like(w)
+    w[1] = {"negative": -1e-6, "nan": np.nan, "+inf": np.inf}[bad]
+    return w
+
+
+class TestWeightRule:
+    # every route checks k and both weight vectors once, at construction;
+    # a bad weight once aborted at the first apply past the dense cap
+    @pytest.mark.parametrize("route", _ROUTES)
+    @pytest.mark.parametrize("bad", ["negative", "nan", "+inf", "2-D", "wrong size",
+                                     "all zero"])
+    @pytest.mark.parametrize("side", ["source", "target"])
+    def test_bad_weights_are_refused_naming_the_side(self, route, bad, side):
+        def edit(p, q):
+            return (_spoil(p, bad), q) if side == "source" else (p, _spoil(q, bad))
+
+        with pytest.raises(ValueError, match=f"^{side} weights must "):
+            _every_route(route, edit)
+
+    @pytest.mark.parametrize("k", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_k_is_refused(self, k):
+        p, q = np.full(3, 1.0 / 3), np.full(2, 0.5)
+        with pytest.raises(ValueError, match="^k must be finite and > 0"):
+            DenseApplicator(k, p, q, np.zeros((3, 2)))
+        with pytest.raises(ValueError, match="^k must be finite and > 0"):
+            DenseApplicator.from_log_kernel(k, p, q, lambda: np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_log_kernel_refuses_nan_and_plus_inf(self, bad):
+        p = np.full(3, 1.0 / 3)
+        log_kernel = np.zeros((3, 3))
+        log_kernel[0, 1] = bad
+        with pytest.raises(ValueError, match="^log kernel must be"):
+            DenseApplicator.from_log_kernel(2.0, p, p, lambda: log_kernel)
+
+    def test_log_kernel_keeps_minus_inf(self):
+        # a vanishing kernel entry drops its term: the same outputs as a
+        # kernel whose entry is too small to count
+        p = np.full(3, 1.0 / 3)
+        log_kernel = -np.arange(9.0).reshape(3, 3)
+        log_kernel[0, 0] = -np.inf
+        tiny = log_kernel.copy()
+        tiny[0, 0] = -1e4
+        u = np.array([0.0, 0.1, 0.2])
+        got = DenseApplicator.from_log_kernel(2.0, p, p, lambda: log_kernel)
+        want = DenseApplicator.from_log_kernel(2.0, p, p, lambda: tiny)
+        assert np.array_equal(got.softmin_to_target(u), want.softmin_to_target(u))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("route", _ROUTES)
+    def test_zero_weights_build_quietly(self, route):
+        def edit(p, q):
+            p, q = p.copy(), q.copy()
+            p[0] = q[-1] = 0.0
+            return p, q
+
+        kern = _every_route(route, edit)
+        assert kern.log_p[0] == -np.inf and kern.log_q[-1] == -np.inf
+
+    def test_large_grids_refuse_a_bad_weight_at_construction(self):
+        grid = TorusGrid(2, 72)
+        w = _spoil(np.full(grid.size, 1.0 / grid.size), "negative")
+        with pytest.raises(ValueError, match="^source weights must be finite and nonnegative$"):
+            TorusLatticeApplicator(grid, TorusKernelSpec("gaussian", 72), w, w, mode="fft")
+        grid = SphericalGrid(32)
+        w = _spoil(grid.node_weights, "nan")
+        with pytest.raises(ValueError, match="^target weights must be finite and nonnegative$"):
+            SphereSHTApplicator(grid, SphereKernelSpec("heat", 16), grid.node_weights, w)
+
+
+class TestWholeVectorRedo:
+    # the 2-D FFT and the SHT trust every positive output (floor 0), yet
+    # next to a flagged output the unflagged ones can be far from exact:
+    # only a redo of the whole vector gives the exact route's outputs
+    def test_2d_fft(self):
+        p = np.full(256, 1.0 / 256)
+        grid, spec = TorusGrid(2, 16), TorusKernelSpec("heat", 16, 1e-3)
+        u = np.full(256, 100.0)
+        u[0] = 0.0
+        fast = TorusLatticeApplicator(grid, spec, p, p, mode="fft")
+        out = fast.softmin_to_target(u)
+        assert fast.fallbacks == 1
+        direct = TorusLatticeApplicator(grid, spec, p, p, mode="direct")
+        assert np.array_equal(out, direct.softmin_to_target(u))
+
+    def test_sht(self):
+        grid, spec = SphericalGrid(31), SphereKernelSpec("antenna", 16)
+        w = grid.node_weights
+        u = np.zeros(grid.size)
+        u[grid.size // 2] = -5.0
+        fast = SphereSHTApplicator(grid, spec, w, w)
+        out = fast.softmin_to_target(u)
+        assert fast.fallbacks == 1
+        assert np.array_equal(out, SphereDenseApplicator(grid, spec, w, w).softmin_to_target(u))
 
 
 class TestFreshOutputs:

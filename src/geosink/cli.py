@@ -272,7 +272,7 @@ def _solve_and_report(cfg, out, coord_header, applicator, xs, ys, extras=None):
     wall_ms = (time.perf_counter() - t0) * 1e3
     # the last step measured the final errors; e_row is 0 after its u-update
     e_row, e_col = state.trace[-1].e_row, state.trace[-1].e_col
-    cost = entropic_cost(state, applicator, (e_row, e_col))
+    cost = entropic_cost(state, applicator)
     u, v = normalized_potentials(state)
 
     shared = xs is ys or (

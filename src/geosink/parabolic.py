@@ -659,7 +659,8 @@ def circle_ot_oracle(p, q):
     two cumulative-mass ladders) settles kinks. Each evaluation of C is a
     vectorized merge in O(k log k), golden section takes 93 of them, and
     the sweep O(k log k) time and O(k) memory plus one evaluation per
-    breakpoint it finds. Weights must be finite, nonnegative and sum to 1.
+    distinct breakpoint it finds. Weights must be finite, nonnegative and
+    sum to 1.
 
     Returns {"cost", "rotation", "pairs"} with pairs as (source index,
     target index, mass) triples on the original grid.
@@ -697,8 +698,9 @@ def circle_ot_oracle(p, q):
     best = C(theta_best)
 
     # a kink minimizer sits where a source ladder value aligns with a
-    # (shifted) target ladder value; evaluate those candidates exactly
-    for t in [0.0] + _alignments(Pc, Qc, theta_best):
+    # (shifted) target ladder value; evaluate each distinct candidate
+    # exactly, once, in first-seen order, so the strict < keeps the first
+    for t in dict.fromkeys([0.0] + _alignments(Pc, Qc, theta_best)):
         val = C(t)
         if val < best:
             best = val

@@ -60,13 +60,11 @@ __all__ = [
     "LinearDomainApplicator",
     "m_max_schedule",
     "initial_state",
-    "softmin_update",
     "sinkhorn_step",
     "run_until",
     "marginal_errors",
     "rho_density",
     "energy_diagnostics",
-    "plan_entry",
     "plan_row",
     "entropic_cost",
     "hilbert_distance",
@@ -157,22 +155,6 @@ def initial_state(kern, u0=None):
     )
 
 
-def softmin_update(pot, direction, kern):
-    """One softmin application, either source-to-target or target-to-source.
-
-    direction "x_to_y" maps a potential on X to v(y) =
-    k^-1 log sum_i e^{-k(c(x_i,y)+u(x_i))} p_i; "y_to_x" is symmetric.
-    """
-    values = _values(pot)
-    if direction == "x_to_y":
-        out = kern.softmin_to_target(values)
-    elif direction == "y_to_x":
-        out = kern.softmin_to_source(values)
-    else:
-        raise ValueError(f"unknown direction {direction!r}")
-    return Potential(out)
-
-
 def _check_finite(arr, stage, m):
     if not np.all(np.isfinite(arr)):
         bad = int(np.count_nonzero(~np.isfinite(arr)))
@@ -202,8 +184,9 @@ def run_until(state, kern, tol, A=2.0, m_max=None):
     five consecutive steps ("stagnated"). Pass tol=None to run a fixed
     number of steps regardless of the error. A NaN tol, or an m_max that is
     not an integer >= 1, raises ValueError. The returned state records the
-    reason under .stop_reason and one TraceRecord per step; its
-    cost_warning is False until entropic_cost measures it.
+    reason under .stop_reason and one TraceRecord per step, the last of
+    which entropic_cost reads as the state's marginal errors; its
+    cost_warning is False until entropic_cost sets it.
 
     Each step costs two kernel applications plus one shared with the
     trace bookkeeping: the trailing softmin w = v[u_{m+1}] that measures
@@ -342,26 +325,27 @@ def energy_diagnostics(u, kern):
     return {"F": I_mu - L_nu, "I_mu": I_mu, "L_nu": L_nu, "J": J}
 
 
-def plan_entry(state, i, j, kern):
-    """One plan entry gamma_ij = e^{-k(c_ij + u_i + v_j)} p_i q_j, from plan_row."""
-    return float(plan_row(state, kern, i)[j])
-
-
 def plan_row(state, kern, i):
     """Row i of the plan, shape (N_target,)."""
     expo = -state.k * (kern.cost_row(i) + state.u.values[i] + state.v.values)
     return np.exp(expo) * kern.p[i] * kern.q
 
 
-def entropic_cost(state, kern, errors=None):
+def entropic_cost(state, kern):
     """Duality closed form -(<p,u> + <q,v>) of the regularized cost.
 
-    Valid at (approximate) fixed points. errors is the state's (e_row,
-    e_col) when already measured, as run_until's last TraceRecord holds
-    them; None measures them with marginal_errors. The state's cost_warning
-    flag says whether either exceeds 1e-6, when the value is indicative only.
+    Valid at (approximate) fixed points. The state's cost_warning flag says
+    whether either marginal error exceeds 1e-6, when the value is indicative
+    only. When the state's last TraceRecord is of its own step m, as for
+    every state run_until or sinkhorn_step returns, the errors are read from
+    it, bit for bit what marginal_errors measures there, with no kernel
+    application; any other state is measured with marginal_errors.
     """
-    e_row, e_col = marginal_errors(state, kern) if errors is None else errors
+    if state.trace and state.trace[-1].m == state.m:
+        last = state.trace[-1]
+        e_row, e_col = last.e_row, last.e_col
+    else:
+        e_row, e_col = marginal_errors(state, kern)
     state.cost_warning = bool(max(e_row, e_col) > 1e-6)
     return -(float(kern.p @ state.u.values) + float(kern.q @ state.v.values))
 
@@ -560,7 +544,10 @@ class LinearDomainApplicator(DenseApplicator):
     routes. The floor is 0, or k * tiny / torus.SUBNORMAL_REL_ERROR on the
     exact 1-D torus product. DenseApplicator._softmin redoes an untrusted
     application, counted in .fallbacks; past DENSE_POINT_CAP points,
-    where that route is quadratic, the run aborts instead. cost_row reads
+    where a redo of the whole vector costs N^2 terms per application, the
+    run aborts with NumericalAbortError instead. The exact route itself has
+    no cap: mode="direct" (SphereDenseApplicator on the sphere, --backend
+    direct in the CLI) runs it at any size. cost_row reads
     the exact rows: a linear-domain apply rounds away the kernel's tail.
     The closures reach the applicator only through a weak proxy, for that
     redo, so binding makes no reference cycle; the redo calls the route's own
@@ -612,8 +599,10 @@ class LinearDomainApplicator(DenseApplicator):
         if self.size > DENSE_POINT_CAP:
             raise NumericalAbortError(
                 f"linear-domain kernel application underflowed double precision on "
-                f"{self.size} points, and the exact log-domain fallback is capped at "
-                f"DENSE_POINT_CAP={DENSE_POINT_CAP} points",
+                f"{self.size} points; past DENSE_POINT_CAP={DENSE_POINT_CAP} points a fast "
+                f"route refuses to redo it on the exact route (N^2 terms per application); "
+                f"mode=\"direct\" or SphereDenseApplicator (--backend direct) runs the "
+                f"exact route, uncapped",
                 {"stage": "linear-domain apply", "points": self.size,
                  "dense_point_cap": DENSE_POINT_CAP, "fallbacks": self.fallbacks})
         self.fallbacks += 1

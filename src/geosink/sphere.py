@@ -607,9 +607,14 @@ class SphereSHTApplicator(LinearDomainApplicator):
     DenseApplicator's input rule holds. Each application applies the zonal
     kernel in O(W^3) in the linear domain (see LinearDomainApplicator for the
     shift, the trust check, the redo on SphereDenseApplicator's rows, counted
-    in .fallbacks, and the abort past DENSE_POINT_CAP nodes). The softmin
-    pair is bound at construction like the torus's, but owns no buffer: its
-    weights and its log back are fresh arrays (see _bound_softmin).
+    in .fallbacks, and the abort past DENSE_POINT_CAP nodes, where a
+    whole-vector redo costs N^2 terms per application and
+    SphereDenseApplicator, --backend direct in the CLI, is the way to run the
+    exact route). The SHT is not certified: its floor is 0, so it falls back
+    only on a nonpositive output, and a wrong positive output passes with no
+    flag. The softmin pair is bound at construction like the torus's, but
+    owns no buffer: its weights and its log back are fresh arrays (see
+    _bound_softmin).
     """
 
     def __init__(self, grid, spec, p, q):

@@ -486,7 +486,8 @@ class TorusLatticeApplicator(LinearDomainApplicator):
     takes it every time. mode "fft" binds the linear-domain softmin pair at
     construction (see LinearDomainApplicator for the shift, the trust check
     and the redo, counted in .fallbacks, or abort past DENSE_POINT_CAP
-    points) over one of two kernels. In 2-D and 3-D it is the FFT
+    points, where a whole-vector redo costs N^2 terms per application and
+    mode "direct" is the way to run the exact route) over one of two kernels. In 2-D and 3-D it is the FFT
     convolution, not certified: its floor is 0, so it falls back only on a
     nonpositive output. The pair forms its weights in a
     lattice-sized buffer and the convolution runs in a spectrum and an

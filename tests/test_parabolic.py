@@ -734,6 +734,37 @@ class TestCircleOracle:
         monkeypatch.setattr(parabolic, "_alignments", self._all_pairs_alignments)
         assert circle_ot_oracle(p, q) == out
 
+    def test_sweep_evaluates_each_distinct_candidate_once(self, monkeypatch):
+        # the criterion-9 pair, whose ladders align many times over
+        k = 4096
+        p = discretize_torus("6*(1-cos(2*pi*x1))", k, 1).weights
+        q = discretize_torus("6*(1-cos(2*pi*(x1-0.25)))", k, 1).weights
+        Pc, Qc = np.cumsum(p), np.cumsum(q)
+        matching, thetas = parabolic._rotation_matching, []
+
+        def counting(Pc, Qc, theta, collect=False):
+            thetas.append(theta)
+            return matching(Pc, Qc, theta, collect)
+
+        monkeypatch.setattr(parabolic, "_rotation_matching", counting)
+        out = circle_ot_oracle(p, q)
+        # 93 golden-section evaluations, the last at its minimizer, then the
+        # sweep, then the collecting pass at the rotation found
+        golden = thetas[92]
+        candidates = [0.0] + parabolic._alignments(Pc, Qc, golden)
+        distinct = list(dict.fromkeys(candidates))
+        assert (len(candidates), len(distinct)) == (49, 29)
+        assert thetas[93:-1] == distinct
+        # the sweep over the full candidate list, duplicates included
+        best, rotation = matching(Pc, Qc, golden)[0], golden
+        for t in candidates:
+            val = matching(Pc, Qc, t)[0]
+            if val < best:
+                best, rotation = val, t
+        _, pair_map = matching(Pc, Qc, rotation, collect=True)
+        pairs = [(int(i), int(j), float(m)) for (i, j), m in pair_map.items()]
+        assert out == {"cost": float(best), "rotation": float(rotation), "pairs": pairs}
+
     def test_sweep_memory_is_linear_in_k(self, traced_peak):
         # the all-pairs sweep held 4096^2 floats per shift (512 MB); the
         # sweep alone is traced, as tracing the golden section's O(k)

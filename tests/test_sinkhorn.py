@@ -17,6 +17,7 @@ from geosink.sinkhorn import (
     LinearDomainApplicator,
     NumericalAbortError,
     Potential,
+    SinkhornState,
     energy_diagnostics,
     entropic_cost,
     hilbert_distance,
@@ -24,12 +25,10 @@ from geosink.sinkhorn import (
     m_max_schedule,
     marginal_errors,
     normalized_potentials,
-    plan_entry,
     plan_row,
     rho_density,
     run_until,
     sinkhorn_step,
-    softmin_update,
 )
 from geosink.sphere import (SphereDenseApplicator, SphereKernelSpec,
                             SphereSHTApplicator, SphericalGrid)
@@ -59,8 +58,8 @@ def _uniform_lattice(k, mode="direct"):
 class TestSoftminUpdate:
     def test_zero_cost_zero_potential(self):
         kern = _zero_cost_applicator()
-        v = softmin_update(np.zeros(4), "x_to_y", kern)
-        assert_allclose(v.values, 0.0, atol=1e-15)
+        v = kern.softmin_to_target(np.zeros(4))
+        assert_allclose(v, 0.0, atol=1e-15)
 
     def test_two_point_scalar_arithmetic(self):
         kern = DenseApplicator(
@@ -69,8 +68,8 @@ class TestSoftminUpdate:
             np.array([1.0]),
             np.array([[0.0], [1.0]]),
         )
-        v = softmin_update(np.zeros(2), "x_to_y", kern)
-        assert_allclose(v.values, [np.log(0.5 + 0.5 * np.exp(-1.0))], rtol=1e-15)
+        v = kern.softmin_to_target(np.zeros(2))
+        assert_allclose(v, [np.log(0.5 + 0.5 * np.exp(-1.0))], rtol=1e-15)
 
     def test_converges_to_c_transform(self):
         # softmin -> u^c as k grows, error shrinking roughly like 1/k
@@ -79,33 +78,15 @@ class TestSoftminUpdate:
         for k in (64, 128):
             kern = _uniform_lattice(k)
             u = u_field(np.arange(k) / k)
-            v = softmin_update(u, "x_to_y", kern).values
+            v = kern.softmin_to_target(u)
             cost = np.stack([kern.cost_row(i) for i in range(k)])
             errs[k] = np.max(np.abs(v - c_transform(u, cost)))
         ratio = errs[64] / errs[128]
         assert 1.5 <= ratio <= 2.5
 
-    def test_direction_guard(self):
-        with pytest.raises(ValueError, match="direction"):
-            softmin_update(np.zeros(4), "sideways", _zero_cost_applicator())
-
     def test_non_finite_potential_rejected(self):
         with pytest.raises(ValueError, match="finite"):
-            softmin_update(np.array([0.0, np.nan, 0, 0]), "x_to_y",
-                           _zero_cost_applicator())
-
-    @pytest.mark.parametrize("route", ["dense", "torus1-fft", "torus2-fft", "sphere-sht"])
-    def test_inf_entry_gives_the_backend_output(self, route):
-        # softmin_update leaves the potential to the backend's own rule
-        kern = _every_route(route)
-        values = 0.1 * np.random.default_rng(5).random(kern.p.size)
-        values[2] = np.inf
-        want = kern.softmin_to_target(values)
-        assert np.array_equal(softmin_update(values, "x_to_y", kern).values, want)
-        values = 0.1 * np.random.default_rng(6).random(kern.q.size)
-        values[1] = np.inf
-        want = kern.softmin_to_source(values)
-        assert np.array_equal(softmin_update(values, "y_to_x", kern).values, want)
+            _zero_cost_applicator().softmin_to_target(np.array([0.0, np.nan, 0, 0]))
 
 
 class TestSinkhornStep:
@@ -722,10 +703,7 @@ class TestPlanAccess:
         kern = _zero_cost_applicator()
         state = sinkhorn_step(initial_state(kern), kern)
         for i in range(4):
-            for j in range(4):
-                assert_allclose(
-                    plan_entry(state, i, j, kern), kern.p[i] * kern.q[j], rtol=1e-13
-                )
+            assert_allclose(plan_row(state, kern, i), kern.p[i] * kern.q, rtol=1e-13)
 
     def test_symmetric_two_by_two_closed_form(self):
         # p = q = (1/2, 1/2), kernel [[1, t], [t, 1]] with t = 1/2 forces
@@ -736,12 +714,6 @@ class TestPlanAccess:
         state = run_until(initial_state(kern), kern, tol=1e-13)
         plan = np.stack([plan_row(state, kern, i) for i in range(2)])
         assert_allclose(plan, [[1 / 3, 1 / 6], [1 / 6, 1 / 3]], atol=1e-13)
-
-    def test_row_consistent_with_entries(self, rng):
-        kern = _uniform_lattice(8)
-        state = sinkhorn_step(initial_state(kern), kern)
-        row = plan_row(state, kern, 3)
-        assert_allclose(row[5], plan_entry(state, 3, 5, kern), rtol=1e-15)
 
 
 class TestEntropicCost:
@@ -785,6 +757,17 @@ def _readme_pair(k=64):
                                   mode="fft")
 
 
+def _count_applies(kern):
+    """Wrap kern's softmin pair in place; the returned list names each application."""
+    applies = []
+    for name in ("softmin_to_target", "softmin_to_source"):
+        def count(values, name=name, apply=getattr(kern, name)):
+            applies.append(name)
+            return apply(values)
+        setattr(kern, name, count)
+    return applies
+
+
 class TestReadout:
     """run_until's last record is the final readout, and the flag follows its state."""
 
@@ -807,12 +790,34 @@ class TestReadout:
         state = run_until(initial_state(kern), kern, tol=tol, m_max=m_max)
         last = state.trace[-1]
         # the trailing softmin of the last step is the one marginal_errors redoes
-        assert marginal_errors(state, kern) == (0.0, last.e_col) == (last.e_row, last.e_col)
+        errors = marginal_errors(state, kern)
+        assert errors == (0.0, last.e_col) == (last.e_row, last.e_col)
+        applies = _count_applies(kern)
         cost = entropic_cost(state, kern)
-        assert state.cost_warning is warned
-        state.cost_warning = not warned
-        assert entropic_cost(state, kern, errors=(last.e_row, last.e_col)) == cost
-        assert state.cost_warning is warned
+        assert applies == []
+        assert cost == -(float(kern.p @ state.u.values) + float(kern.q @ state.v.values))
+        assert state.cost_warning is warned is (max(errors) > 1e-6)
+        # the same potentials without the trace are measured: same cost and flag
+        bare = SinkhornState(state.k, state.m, state.u, state.v, cost_warning=not warned)
+        assert entropic_cost(bare, kern) == cost
+        assert bare.cost_warning is warned
+        assert len(applies) == 2
+
+    def test_cost_applies_the_kernel_only_without_a_record_of_the_state(self):
+        kern = _readme_pair()
+        applies = _count_applies(kern)
+        state = run_until(initial_state(kern), kern, tol=1e-9)
+        stepped = sinkhorn_step(state, kern)
+        applies.clear()
+        entropic_cost(state, kern)
+        entropic_cost(stepped, kern)
+        assert applies == []
+        entropic_cost(initial_state(kern), kern)
+        assert sorted(applies) == ["softmin_to_source", "softmin_to_target"]
+        # a last record of another step is not the state's own readout
+        applies.clear()
+        entropic_cost(SinkhornState(state.k, state.m + 1, state.u, state.v, state.trace), kern)
+        assert len(applies) == 2
 
 
 class TestHilbertDistance:
